@@ -1,16 +1,18 @@
-"""Pure-Python batch potential kernel; the operation-order reference.
+"""Batch potential kernel: ``total_potential`` over a whole candidate grid.
 
-``_core.pyx`` transcribes this loop statement for statement into C doubles.
-Any edit here must be mirrored there, or bit-parity between the backends
-(and with it cross-install determinism of whole runs) is lost. Candidates
-coincident with an obstacle sample point get +inf instead of a score; the
-selector treats them as infeasible.
+The loop repeats the operation order of the scalar potential functions in
+``mppf.potentials`` over flat buffers, so each candidate's score is
+bit-for-bit equal to composing the scalars (tests assert exact equality).
+Candidates coincident with an obstacle sample point get +inf instead of a
+score; the selector treats them as infeasible.
 
 Buffers are flat float64 sequences: positions/velocities packed xyz per
 entry, one influence radius per obstacle point, one output per candidate.
 """
 
 from math import acos, inf, pi, sqrt
+
+BACKEND = "pure"  # the only kernel; named in benchmark reports
 
 
 def total_potential_grid(n, cand_pos, cand_vel, gx, gy, gz,

@@ -15,7 +15,7 @@ import yaml
 
 from mppf.errors import ScenarioError
 from mppf.harness import EXIT_CODES, compare_modes, emit_outputs, run_scenario, summary_dict
-from mppf.scenario import load_scenario
+from mppf.scenario import load_scenario, materialize_obstacles
 
 EXIT_INVALID = 64
 
@@ -31,9 +31,13 @@ def _add_common(p: argparse.ArgumentParser, with_mode: bool) -> None:
                    help="override the step budget")
 
 
-def _load(path: str):
+def _load(path: str, seed: int | None = None):
+    """Parse the file and place its obstacles for the run's seed, so an
+    unplaceable random field is reported like any other invalid field."""
     try:
-        return load_scenario(path)
+        sc = load_scenario(path)
+        materialize_obstacles(sc, sc.seed if seed is None else seed)
+        return sc
     except ScenarioError as e:
         print(f"invalid scenario {path}:", file=sys.stderr)
         for problem in e.problems:
@@ -53,7 +57,7 @@ def _print_summary(label: str, summary: dict) -> None:
 
 
 def cmd_run(args) -> int:
-    sc = _load(args.scenario)
+    sc = _load(args.scenario, args.seed)
     if sc is None:
         return EXIT_INVALID
     result = run_scenario(sc, mode=args.mode, seed=args.seed,
@@ -69,7 +73,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    sc = _load(args.scenario)
+    sc = _load(args.scenario, args.seed)
     if sc is None:
         return EXIT_INVALID
     cmp = compare_modes(sc, seed=args.seed, max_steps=args.max_steps)

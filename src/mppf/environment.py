@@ -70,7 +70,12 @@ class WorldState:
     bounds: Bounds = Bounds()
     body_radius: float = 0.6
     time: float = 0.0
-    collision: bool = False
+    # hull clearance set by advance_world; +inf before the first step
+    clearance: float = math.inf
+
+    @property
+    def collision(self) -> bool:
+        return self.clearance <= 0.0
 
 
 def flow_velocity(flow: VortexFlow | None, p: Vec3) -> Vec3:
@@ -240,7 +245,7 @@ def sense_obstacles(world: WorldState, sonar: SonarModel) -> list[ObstaclePoint]
 
     One-shot sensing; the harness instead accumulates detections across
     steps (an obstacle stays tracked once seen) and calls surface_points
-    on the running set.
+    on the tracked obstacles within its cull radius.
     """
     return surface_points(world, visible_obstacles(world, sonar), sonar)
 
@@ -274,13 +279,13 @@ def glider_clearance(obstacles: Sequence[Obstacle], position: Vec3,
 
 
 def advance_world(world: WorldState, new_glider: GliderState, dt: float) -> WorldState:
-    """Common tail of every simulation step: obstacles, clock, collision."""
+    """Common tail of every simulation step: obstacles, clock, clearance."""
     obstacles = tuple(_advance_obstacle(ob, world.bounds, dt)
                       for ob in world.obstacles)
-    collision = glider_clearance(obstacles, new_glider.position,
-                                 world.body_radius) <= 0.0
+    clearance = glider_clearance(obstacles, new_glider.position,
+                                 world.body_radius)
     return replace(world, glider=new_glider, obstacles=obstacles,
-                   time=world.time + dt, collision=collision)
+                   time=world.time + dt, clearance=clearance)
 
 
 def step_kinematics(world: WorldState, command: GotoCommand, dt: float) -> WorldState:

@@ -11,18 +11,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import yaml
 
 from mppf import escape as esc
 from mppf import sawtooth as saw
 from mppf.environment import (
+    Obstacle,
     WorldState,
     advance_world,
     flow_velocity,
     glider_clearance,
     step_kinematics,
+    surface_distance,
     surface_points,
     visible_obstacles,
 )
@@ -72,6 +74,7 @@ class RunResult:
     seed: int
     trajectory: list[TrajectorySample]
     events: list[tuple[float, str]]
+    obstacles: tuple[Obstacle, ...]  # as materialized at t=0
     # (trajectory row, world snapshot, active waypoint, detected obstacle
     # indices) per planner decision, populated only when
     # run_scenario(keep_worlds=True); lets tests replay any logged decision
@@ -84,6 +87,33 @@ class CompareResult:
     advanced: RunResult
     d_time_cost: float
     d_drift: float
+
+
+def cull_radius(scenario: Scenario, obstacles: Sequence[Obstacle]) -> float:
+    """Surface distance beyond which a tracked obstacle cannot matter.
+
+    Every sample point of an obstacle lies at least its surface distance
+    from the vehicle, and the planner reads a point only when it is within
+    one of three reaches: a candidate's repulsion cutoff 2(R + hull) plus
+    the step reach, the critical zone R + hull + cz_margin, or the escape
+    column hull + overhead_pad across and R + hull + overhead_clearance
+    tall. Taken over the largest radius R, beyond their maximum a point
+    adds nothing to any candidate's potential, cannot be the nearest point
+    inside its own critical zone, and cannot block the column, so dropping
+    the whole obstacle leaves every decision bit-identical. The radius is
+    one constant for all obstacles because the critical-zone test judges
+    only the nearest point: a small obstacle's point outside its own zone
+    can still mask a large obstacle's zone, so it must stay whenever the
+    large one could matter. The final 1 m absorbs rounding.
+    """
+    spec, cfg = scenario.glider, scenario.escape
+    r_max = max((ob.radius for ob in obstacles), default=0.0)
+    hull = spec.body_radius
+    reach = max(spec.speed_down, spec.speed_up) * scenario.dt
+    return max(2.0 * (r_max + hull) + reach,
+               r_max + hull + cfg.cz_margin,
+               hull + cfg.overhead_pad + r_max + hull
+               + cfg.overhead_clearance) + 1.0
 
 
 def run_scenario(scenario: Scenario, *, mode: str | None = None,
@@ -109,8 +139,10 @@ def run_scenario(scenario: Scenario, *, mode: str | None = None,
     plan = saw.plan_sawtooth(scenario.start, goal, scenario.sawtooth)
     psi0, _ = saw.segment_angles(scenario.start, plan.active_waypoint)
     glider = GliderState(scenario.start, Attitude(psi0, 0.0), 0.0, "follow")
-    world = WorldState(glider, materialize_obstacles(scenario, seed),
-                       scenario.flow, scenario.bounds, spec.body_radius)
+    obstacles = materialize_obstacles(scenario, seed)
+    world = WorldState(glider, obstacles, scenario.flow, scenario.bounds,
+                       spec.body_radius)
+    cull = cull_radius(scenario, obstacles)
     est = esc.EscapeState()
 
     rows: list[TrajectorySample] = []
@@ -129,7 +161,9 @@ def run_scenario(scenario: Scenario, *, mode: str | None = None,
             break
 
         detected.update(visible_obstacles(world, scenario.sonar))
-        points = surface_points(world, sorted(detected), scenario.sonar)
+        near = [i for i in sorted(detected)
+                if surface_distance(world.obstacles[i], g.position) <= cull]
+        points = surface_points(world, near, scenario.sonar)
         flow_here = flow_velocity(world.flow, g.position)
         in_cz = esc.obstacles_in_critical_zone(points, g.position,
                                                world.body_radius, cfg_escape)
@@ -184,8 +218,7 @@ def run_scenario(scenario: Scenario, *, mode: str | None = None,
                                          g.attitude.psi, g.attitude.theta,
                                          "escape", math.nan))
             world = advance_world(world, new_glider, dt)
-            min_clear = min(min_clear, glider_clearance(
-                world.obstacles, new_glider.position, world.body_radius))
+            min_clear = min(min_clear, world.clearance)
             if world.collision:
                 status = STATUS_COLLISION
                 break
@@ -200,8 +233,7 @@ def run_scenario(scenario: Scenario, *, mode: str | None = None,
         before = g.position.dist(plan.active_waypoint)
         world = step_kinematics(world, cmd, dt)
         pos = world.glider.position
-        min_clear = min(min_clear, glider_clearance(world.obstacles, pos,
-                                                    world.body_radius))
+        min_clear = min(min_clear, world.clearance)
         est = esc.record_progress(est, before - pos.dist(plan.active_waypoint),
                                   cfg_escape)
         if world.collision:
@@ -240,6 +272,7 @@ def run_scenario(scenario: Scenario, *, mode: str | None = None,
                      seed=seed,
                      trajectory=rows,
                      events=events,
+                     obstacles=obstacles,
                      decisions=decisions)
 
 
@@ -285,11 +318,11 @@ def emit_outputs(result: RunResult, scenario: Scenario, out_dir) -> dict[str, Pa
     paths["summary"].write_text(yaml.safe_dump(summary_dict(result, scenario),
                                                sort_keys=True))
 
-    obstacles = materialize_obstacles(scenario, result.seed)
-    paths["top_view"].write_text(top_view_svg(result.trajectory, obstacles,
+    paths["top_view"].write_text(top_view_svg(result.trajectory,
+                                              result.obstacles,
                                               scenario.bounds, scenario.start,
                                               scenario.goal))
     paths["profile_view"].write_text(profile_view_svg(result.trajectory,
-                                                      obstacles,
+                                                      result.obstacles,
                                                       scenario.bounds))
     return paths

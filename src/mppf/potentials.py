@@ -9,8 +9,8 @@ orientations a glider can hold) and penalizes nothing in between.
 
 The scalar functions here are the reference implementations. The batch
 evaluator in ``mppf._kernels`` repeats the identical operation sequence over
-the whole grid (compiled when the extension is built), so kernel results are
-bit-for-bit equal to composing the scalars; tests assert exact agreement.
+the whole grid, so kernel results are bit-for-bit equal to composing the
+scalars; tests assert exact agreement.
 """
 
 from __future__ import annotations
@@ -223,7 +223,7 @@ def _pack_points(points: Sequence[ObstaclePoint]) -> tuple[int, array, array, ar
 def grid_potentials(surface: SampleSurface, goal: Vec3,
                     points: Sequence[ObstaclePoint], flow: Vec3,
                     params: PotentialParams, mode: str) -> array:
-    """Evaluate total_potential over the whole surface via the active kernel.
+    """Evaluate total_potential over the whole surface via the batch kernel.
 
     Candidates coincident with an obstacle sample point come back +inf.
     """

@@ -139,3 +139,16 @@ def test_missing_file_reported(tmp_path, capsys):
     assert cli.main(["validate", "--scenario",
                      str(tmp_path / "absent.yaml")]) == 64
     assert capsys.readouterr().err
+
+
+def test_unplaceable_random_field_rejected_by_every_subcommand(tmp_path, capsys):
+    data = dict(REACHES, random_obstacles={"count": 5, "radius": [1, 2],
+                                           "keepout": 200})
+    path = write(tmp_path, data)
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "o")],
+                 ["compare", "--out", str(tmp_path / "c")]):
+        assert cli.main(argv + ["--scenario", path]) == 64
+        err = capsys.readouterr().err
+        assert "random_obstacles: no room" in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "o").exists() and not (tmp_path / "c").exists()

@@ -1,23 +1,13 @@
-"""Bit-for-bit agreement between the pure and compiled grid kernels."""
+"""Edge cases of the batch grid kernel.
+
+Exact agreement with the scalar potentials is pinned in test_potentials.
+"""
 
 import math
-import os
 import random
-import subprocess
-import sys
 from array import array
 
-import pytest
-
 from mppf import _kernels
-from mppf._kernels import pure
-
-try:
-    from mppf._kernels import _core
-except ImportError:
-    _core = None
-
-needs_core = pytest.mark.skipif(_core is None, reason="extension not built")
 
 
 def random_case(rng, n=25, m=6):
@@ -31,35 +21,23 @@ def random_case(rng, n=25, m=6):
     return n, cpos, cvel, goal, m, opos, ovel, oinf, flow
 
 
-def run_kernel(impl, case, advanced):
+def run_kernel(case, advanced):
     n, cpos, cvel, goal, m, opos, ovel, oinf, flow = case
     out = array("d", bytes(8 * n))
-    impl.total_potential_grid(
+    _kernels.total_potential_grid(
         n, cpos, cvel, goal[0], goal[1], goal[2],
         m, opos, ovel, oinf, flow[0], flow[1], flow[2],
         0.1, 10.0, 0.1, 0.1, math.radians(20.0), advanced, out)
     return out
 
 
-@needs_core
-def test_compiled_equals_pure_bitwise():
-    rng = random.Random(3)
-    for _ in range(200):
-        case = random_case(rng, m=rng.randrange(0, 9))
-        for advanced in (False, True):
-            a = run_kernel(pure, case, advanced)
-            b = run_kernel(_core, case, advanced)
-            assert a.tobytes() == b.tobytes()
-
-
-@needs_core
-def test_compiled_inf_on_coincident_point():
+def test_kernel_inf_on_coincident_point():
     rng = random.Random(4)
     case = random_case(rng)
     n, cpos, cvel, goal, m, opos, ovel, oinf, flow = case
     opos[0], opos[1], opos[2] = cpos[3], cpos[4], cpos[5]
-    for impl in (pure, _core):
-        out = run_kernel(impl, case, True)
+    for advanced in (False, True):
+        out = run_kernel(case, advanced)
         assert math.isinf(out[1])
         assert out[1] > 0
 
@@ -67,20 +45,9 @@ def test_compiled_inf_on_coincident_point():
 def test_pure_kernel_empty_obstacle_buffers():
     rng = random.Random(5)
     case = random_case(rng, m=0)
-    out = run_kernel(pure, case, True)
+    out = run_kernel(case, True)
     assert all(math.isfinite(u) for u in out)
 
 
-def test_env_override_forces_pure_backend():
-    # the switch happens at import, so probe in a fresh interpreter
-    env = dict(os.environ, MPPF_PURE_KERNELS="1")
-    got = subprocess.run(
-        [sys.executable, "-c", "from mppf import _kernels; print(_kernels.BACKEND)"],
-        capture_output=True, text=True, env=env, check=True)
-    assert got.stdout.strip() == "pure"
-
-
 def test_active_backend_reported():
-    assert _kernels.BACKEND in ("pure", "compiled")
-    if _core is not None and not os.environ.get("MPPF_PURE_KERNELS"):
-        assert _kernels.BACKEND == "compiled"
+    assert _kernels.BACKEND == "pure"
