@@ -43,8 +43,8 @@ class Obstacle:
 class VortexFlow:
     """Recirculating cell field, attenuating linearly to zero at max_depth."""
 
-    amplitude: float
-    cell_size: float
+    amplitude: float = 0.1
+    cell_size: float = 50.0
     max_depth: float = 50.0
 
 
@@ -238,16 +238,6 @@ def surface_points(world: WorldState, indices, sonar: SonarModel) -> list[Obstac
                                    sonar.vertical_fov)
         out.extend(ObstaclePoint(p, ob.velocity, cutoff, ob.radius) for p in pts)
     return out
-
-
-def sense_obstacles(world: WorldState, sonar: SonarModel) -> list[ObstaclePoint]:
-    """Discretize every currently visible obstacle into surface points.
-
-    One-shot sensing; the harness instead accumulates detections across
-    steps (an obstacle stays tracked once seen) and calls surface_points
-    on the tracked obstacles within its cull radius.
-    """
-    return surface_points(world, visible_obstacles(world, sonar), sonar)
 
 
 def _advance_obstacle(ob: Obstacle, bounds: Bounds, dt: float) -> Obstacle:

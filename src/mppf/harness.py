@@ -75,10 +75,6 @@ class RunResult:
     trajectory: list[TrajectorySample]
     events: list[tuple[float, str]]
     obstacles: tuple[Obstacle, ...]  # as materialized at t=0
-    # (trajectory row, world snapshot, active waypoint, detected obstacle
-    # indices) per planner decision, populated only when
-    # run_scenario(keep_worlds=True); lets tests replay any logged decision
-    decisions: list | None = None
 
 
 @dataclass
@@ -117,8 +113,7 @@ def cull_radius(scenario: Scenario, obstacles: Sequence[Obstacle]) -> float:
 
 
 def run_scenario(scenario: Scenario, *, mode: str | None = None,
-                 seed: int | None = None, max_steps: int | None = None,
-                 keep_worlds: bool = False) -> RunResult:
+                 seed: int | None = None, max_steps: int | None = None) -> RunResult:
     """Simulate one scenario to termination.
 
     Keyword overrides exist for the CLI and sweeps; they default to the
@@ -147,7 +142,6 @@ def run_scenario(scenario: Scenario, *, mode: str | None = None,
 
     rows: list[TrajectorySample] = []
     events: list[tuple[float, str]] = []
-    decisions: list | None = [] if keep_worlds else None
     replans = 0
     escapes = 0
     min_clear = glider_clearance(world.obstacles, glider.position, world.body_radius)
@@ -225,9 +219,6 @@ def run_scenario(scenario: Scenario, *, mode: str | None = None,
             continue
 
         # planner step
-        if decisions is not None:
-            decisions.append((len(rows), world, plan.active_waypoint,
-                              tuple(sorted(detected))))
         rows.append(TrajectorySample(world.time, g.position, g.attitude.psi,
                                      g.attitude.theta, "follow", cmd.potential))
         before = g.position.dist(plan.active_waypoint)
@@ -272,8 +263,7 @@ def run_scenario(scenario: Scenario, *, mode: str | None = None,
                      seed=seed,
                      trajectory=rows,
                      events=events,
-                     obstacles=obstacles,
-                     decisions=decisions)
+                     obstacles=obstacles)
 
 
 def compare_modes(scenario: Scenario, *, seed: int | None = None,

@@ -3,7 +3,9 @@
 A scenario is a YAML mapping with a ``schema_version`` and nested sections
 mirroring the planner/environment configuration types. Every field except
 ``start`` and ``goal`` has the survey defaults built in, so a minimal file
-is three lines. Angles are degrees in files, radians in memory.
+is three lines. ``GROUPS`` states every field of the parameter groups once,
+with its range and kind; angles are degrees in files, radians in memory.
+Every number must be finite.
 
 Random obstacle fields are generated with ``random.Random`` (the portable
 Mersenne Twister), so a (scenario, seed) pair materializes identically on
@@ -16,7 +18,8 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass
+from collections.abc import Container
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import yaml
@@ -71,9 +74,63 @@ class Scenario:
     random_obstacles: RandomObstacles | None = None
 
 
-_TOP_KEYS = {"schema_version", "name", "mode", "seed", "dt", "max_steps",
-             "start", "goal", "bounds", "glider", "sawtooth", "potentials",
-             "escape", "sonar", "flow", "obstacles", "random_obstacles"}
+_TOP_KEYS = {"schema_version"} | {f.name for f in fields(Scenario)}
+
+NUM, INT, DEG, BOOL = "num", "int", "deg", "bool"
+
+# The parameter groups, one row per field: file key -> (dataclass field,
+# lowest, highest, kind). DEG fields are degrees in files and radians in
+# memory. Defaults are the dataclass defaults, except the few that _build
+# takes from other groups.
+GROUPS = {
+    "bounds": {
+        "x": ("x", 1.0, None, NUM),  # m
+        "y": ("y", 1.0, None, NUM),  # m
+        "depth": ("depth", 1.0, None, NUM),  # m
+    },
+    "glider": {
+        "max_heading_step_deg": ("max_heading_step", 1.0, 180.0, DEG),
+        "max_glide_deg": ("max_glide_angle", 1.0, 89.0, DEG),
+        "speed_down": ("speed_down", 1e-6, None, NUM),  # m/s
+        "speed_up": ("speed_up", 1e-6, None, NUM),  # m/s
+        "body_radius": ("body_radius", 1e-6, None, NUM),  # m
+        "max_depth": ("max_depth", 1e-6, None, NUM),  # m
+    },
+    "sawtooth": {
+        "water_depth": ("water_depth", 1e-6, None, NUM),  # m
+        "depth_margin": ("depth_margin", 0.0, None, NUM),  # m
+        "literal_stride": ("literal_stride", None, None, BOOL),
+        "arrival_radius": ("arrival_radius", 1e-6, None, NUM),  # m
+        "replan_cross_track": ("replan_cross_track", 1e-6, None, NUM),  # m
+    },
+    "potentials": {
+        "xi": ("xi", 1e-12, None, NUM),
+        "eta": ("eta", 0.0, None, NUM),
+        "tau": ("tau", 0.0, None, NUM),
+        "kappa": ("kappa", 0.0, None, NUM),
+        "flow_align_deg": ("flow_align_max", 1.0, 89.0, DEG),
+    },
+    "escape": {
+        "vertical_speed": ("vertical_speed", 1e-6, None, NUM),  # m/s
+        "window": ("window", 1, None, INT),  # steps
+        "progress_epsilon": ("progress_epsilon", 1e-9, None, NUM),  # m
+        "surface_margin": ("surface_margin", 0.0, None, NUM),  # m
+        "decay_tau": ("decay_tau", 1e-6, None, NUM),  # s
+        "cz_margin": ("cz_margin", 0.0, None, NUM),  # m
+        "overhead_pad": ("overhead_pad", 0.0, None, NUM),  # m
+        "overhead_clearance": ("overhead_clearance", 0.0, None, NUM),  # m
+    },
+    "sonar": {
+        "range": ("range", 1e-6, None, NUM),  # m
+        "horizontal_fov_deg": ("horizontal_fov", 1.0, 359.0, DEG),
+        "vertical_fov_deg": ("vertical_fov", 1.0, 359.0, DEG),
+    },
+    "flow": {
+        "amplitude": ("amplitude", 0.0, None, NUM),  # m/s
+        "cell_size": ("cell_size", 1e-6, None, NUM),  # m
+        "max_depth": ("max_depth", 1e-6, None, NUM),  # m
+    },
+}
 
 
 class _Reader:
@@ -83,7 +140,7 @@ class _Reader:
         self.data = data
         self.problems: list[str] = []
 
-    def section(self, key: str, allowed: set[str]) -> dict:
+    def section(self, key: str, allowed: Container[str]) -> dict:
         raw = self.data.get(key)
         if raw is None:
             return {}
@@ -95,12 +152,15 @@ class _Reader:
                 self.problems.append(f"{key}.{k}: unknown field")
         return raw
 
-    def num(self, sec: dict, sec_name: str, key: str, default: float,
+    def num(self, sec: dict, sec_name: str, key: str, default: float | None,
             lo: float | None = None, hi: float | None = None,
-            integer: bool = False) -> float:
+            integer: bool = False) -> float | None:
         v = sec.get(key, default)
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
+        if not _is_number(v):
             self.problems.append(f"{sec_name}.{key}: expected a number")
+            return default
+        if not _finite(v):
+            self.problems.append(f"{sec_name}.{key}: expected a finite number")
             return default
         if integer and int(v) != v:
             self.problems.append(f"{sec_name}.{key}: expected an integer")
@@ -120,11 +180,57 @@ class _Reader:
             self.problems.append(f"{name}: missing")
             return None
         if (not isinstance(v, (list, tuple)) or len(v) not in (dims, 3)
-                or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in v)):
+                or not all(map(_is_number, v))):
             self.problems.append(f"{name}: expected a list of {dims} numbers")
+            return None
+        if not all(map(_finite, v)):
+            self.problems.append(f"{name}: expected finite numbers")
             return None
         vals = [float(c) for c in v] + [0.0] * (3 - len(v))
         return Vec3(*vals)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _finite(v: float) -> bool:
+    """False for NaN, the infinities and integers beyond the float range."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def _read_group(r: _Reader, key: str, default):
+    """Parameter group ``key`` from the file over the fields of ``default``.
+
+    Only fields present in the file are read and converted, so an absent
+    angle keeps its radian default exactly.
+    """
+    sec = r.section(key, GROUPS[key])
+    values = {}
+    for fkey, (field, lo, hi, kind) in GROUPS[key].items():
+        if fkey not in sec:
+            continue
+        if kind == BOOL:
+            if isinstance(sec[fkey], bool):
+                values[field] = sec[fkey]
+            else:
+                r.problems.append(f"{key}.{fkey}: expected true/false")
+            continue
+        v = r.num(sec, key, fkey, None, lo, hi, integer=kind == INT)
+        if v is not None:
+            values[field] = math.radians(v) if kind == DEG else v
+    return replace(default, **values)
+
+
+def _dump_group(key: str, group) -> dict:
+    out = {}
+    for fkey, (field, _, _, kind) in GROUPS[key].items():
+        v = getattr(group, field)
+        out[fkey] = math.degrees(v) if kind == DEG else v
+    return out
 
 
 def _read_obstacle(reader: _Reader, idx: int, raw, bounds: Bounds) -> Obstacle | None:
@@ -156,15 +262,6 @@ def _read_obstacle(reader: _Reader, idx: int, raw, bounds: Bounds) -> Obstacle |
     if not (0.0 <= center.x <= bounds.x and 0.0 <= center.y <= bounds.y):
         reader.problems.append(f"{name}.center: outside the domain bounds")
     return Obstacle(shape, radius, center, vel)
-
-
-def validate_scenario_dict(data, *, require_version: bool = True) -> list[str]:
-    """All schema problems in one pass; empty means valid."""
-    try:
-        _build(data, "scenario", require_version)
-        return []
-    except ScenarioError as e:
-        return e.problems
 
 
 def scenario_from_dict(data: dict, name: str = "scenario",
@@ -226,81 +323,19 @@ def _build(data, default_name: str, require_version: bool) -> Scenario:
         r.problems.append("max_steps: must be positive")
         max_steps = 3000
 
-    b = r.section("bounds", {"x", "y", "depth"})
-    bounds = Bounds(r.num(b, "bounds", "x", 100.0, lo=1.0),
-                    r.num(b, "bounds", "y", 100.0, lo=1.0),
-                    r.num(b, "bounds", "depth", 50.0, lo=1.0))
-
-    g = r.section("glider", {"max_heading_step_deg", "max_glide_deg",
-                             "speed_down", "speed_up", "body_radius",
-                             "max_depth"})
-    glider = GliderSpec(
-        max_heading_step=math.radians(r.num(g, "glider", "max_heading_step_deg",
-                                            20.0, lo=1.0, hi=180.0)),
-        max_glide_angle=math.radians(r.num(g, "glider", "max_glide_deg",
-                                           45.0, lo=1.0, hi=89.0)),
-        speed_down=r.num(g, "glider", "speed_down", 0.5, lo=1e-6),
-        speed_up=r.num(g, "glider", "speed_up", 0.3, lo=1e-6),
-        body_radius=r.num(g, "glider", "body_radius", 0.6, lo=1e-6),
-        max_depth=r.num(g, "glider", "max_depth", 30.0, lo=1e-6))
-
-    s = r.section("sawtooth", {"water_depth", "depth_margin", "arrival_radius",
-                               "replan_cross_track", "literal_stride"})
-    water_depth = r.num(s, "sawtooth", "water_depth", bounds.depth, lo=1e-6)
-    depth_margin = r.num(s, "sawtooth", "depth_margin", 0.0, lo=0.0)
-    if depth_margin >= water_depth:
+    bounds = _read_group(r, "bounds", Bounds())
+    glider = _read_group(r, "glider", GliderSpec())
+    sawtooth = _read_group(r, "sawtooth", SawtoothParams(
+        max_depth=glider.max_depth, water_depth=bounds.depth,
+        max_glide_angle=glider.max_glide_angle))
+    if sawtooth.depth_margin >= sawtooth.water_depth:
         r.problems.append("sawtooth.depth_margin: must be below water_depth")
-        depth_margin = 0.0
-    literal = s.get("literal_stride", False)
-    if not isinstance(literal, bool):
-        r.problems.append("sawtooth.literal_stride: expected true/false")
-        literal = False
-    sawtooth = SawtoothParams(
-        max_depth=glider.max_depth,
-        water_depth=water_depth,
-        depth_margin=depth_margin,
-        max_glide_angle=glider.max_glide_angle,
-        arrival_radius=r.num(s, "sawtooth", "arrival_radius", 1.0, lo=1e-6),
-        replan_cross_track=r.num(s, "sawtooth", "replan_cross_track", 3.0, lo=1e-6),
-        literal_stride=literal)
-
-    p = r.section("potentials", {"xi", "eta", "tau", "kappa", "flow_align_deg"})
-    potentials = PotentialParams(
-        xi=r.num(p, "potentials", "xi", 0.1, lo=1e-12),
-        eta=r.num(p, "potentials", "eta", 10.0, lo=0.0),
-        tau=r.num(p, "potentials", "tau", 0.1, lo=0.0),
-        kappa=r.num(p, "potentials", "kappa", 0.1, lo=0.0),
-        flow_align_max=math.radians(r.num(p, "potentials", "flow_align_deg",
-                                          20.0, lo=1.0, hi=89.0)))
-
-    e = r.section("escape", {"vertical_speed", "window", "progress_epsilon",
-                             "surface_margin", "decay_tau", "cz_margin",
-                             "overhead_pad", "overhead_clearance"})
-    escape = EscapeConfig(
-        vertical_speed=r.num(e, "escape", "vertical_speed", 0.18, lo=1e-6),
-        window=r.num(e, "escape", "window", 10, lo=1, integer=True),
-        progress_epsilon=r.num(e, "escape", "progress_epsilon", 0.5, lo=1e-9),
-        surface_margin=r.num(e, "escape", "surface_margin", 3.0, lo=0.0),
-        decay_tau=r.num(e, "escape", "decay_tau", 5.0, lo=1e-6),
-        cz_margin=r.num(e, "escape", "cz_margin", 5.0, lo=0.0),
-        overhead_pad=r.num(e, "escape", "overhead_pad", 1.0, lo=0.0),
-        overhead_clearance=r.num(e, "escape", "overhead_clearance", 2.0, lo=0.0))
-
-    so = r.section("sonar", {"range", "horizontal_fov_deg", "vertical_fov_deg"})
-    sonar = SonarModel(
-        range=r.num(so, "sonar", "range", 100.0, lo=1e-6),
-        horizontal_fov=math.radians(r.num(so, "sonar", "horizontal_fov_deg",
-                                          120.0, lo=1.0, hi=359.0)),
-        vertical_fov=math.radians(r.num(so, "sonar", "vertical_fov_deg",
-                                        30.0, lo=1.0, hi=359.0)))
-
-    flow = None
-    f = r.section("flow", {"amplitude", "cell_size", "max_depth"})
-    if f:
-        flow = VortexFlow(
-            amplitude=r.num(f, "flow", "amplitude", 0.1, lo=0.0),
-            cell_size=r.num(f, "flow", "cell_size", 50.0, lo=1e-6),
-            max_depth=r.num(f, "flow", "max_depth", bounds.depth, lo=1e-6))
+    potentials = _read_group(r, "potentials", PotentialParams())
+    escape = _read_group(r, "escape", EscapeConfig())
+    sonar = _read_group(r, "sonar", SonarModel())
+    flow = _read_group(r, "flow", VortexFlow(max_depth=bounds.depth))
+    if not data.get("flow"):
+        flow = None  # the water is still unless the file describes a flow
 
     start = r.vec(data, "start", "start")
     goal = r.vec(data, "goal", "goal")
@@ -333,7 +368,7 @@ def _build(data, default_name: str, require_version: bool) -> Scenario:
         speed = _read_range(r, rb, "random_obstacles.speed", "speed",
                             (0.0, 0.0), lo=0.0)
         depth = None
-        if "depth" in rb:
+        if rb.get("depth") is not None:
             depth = _read_range(r, rb, "random_obstacles.depth", "depth",
                                 (0.0, bounds.depth), lo=0.0)
             if depth is not None and depth[1] > bounds.depth:
@@ -360,8 +395,11 @@ def _read_range(r: _Reader, sec: dict, name: str, key: str,
                 default: tuple[float, float], lo: float) -> tuple[float, float] | None:
     v = sec.get(key, list(default))
     if (not isinstance(v, (list, tuple)) or len(v) != 2
-            or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in v)):
+            or not all(map(_is_number, v))):
         r.problems.append(f"{name}: expected [low, high]")
+        return None
+    if not all(map(_finite, v)):
+        r.problems.append(f"{name}: expected finite numbers")
         return None
     a, b = float(v[0]), float(v[1])
     if a < lo or b < a:
@@ -416,44 +454,8 @@ def scenario_to_dict(sc: Scenario) -> dict:
         "max_steps": sc.max_steps,
         "start": [sc.start.x, sc.start.y, sc.start.z],
         "goal": [sc.goal.x, sc.goal.y, sc.goal.z],
-        "bounds": {"x": sc.bounds.x, "y": sc.bounds.y, "depth": sc.bounds.depth},
-        "glider": {
-            "max_heading_step_deg": math.degrees(sc.glider.max_heading_step),
-            "max_glide_deg": math.degrees(sc.glider.max_glide_angle),
-            "speed_down": sc.glider.speed_down,
-            "speed_up": sc.glider.speed_up,
-            "body_radius": sc.glider.body_radius,
-            "max_depth": sc.glider.max_depth,
-        },
-        "sawtooth": {
-            "water_depth": sc.sawtooth.water_depth,
-            "depth_margin": sc.sawtooth.depth_margin,
-            "arrival_radius": sc.sawtooth.arrival_radius,
-            "replan_cross_track": sc.sawtooth.replan_cross_track,
-            "literal_stride": sc.sawtooth.literal_stride,
-        },
-        "potentials": {
-            "xi": sc.potentials.xi,
-            "eta": sc.potentials.eta,
-            "tau": sc.potentials.tau,
-            "kappa": sc.potentials.kappa,
-            "flow_align_deg": math.degrees(sc.potentials.flow_align_max),
-        },
-        "escape": {
-            "vertical_speed": sc.escape.vertical_speed,
-            "window": sc.escape.window,
-            "progress_epsilon": sc.escape.progress_epsilon,
-            "surface_margin": sc.escape.surface_margin,
-            "decay_tau": sc.escape.decay_tau,
-            "cz_margin": sc.escape.cz_margin,
-            "overhead_pad": sc.escape.overhead_pad,
-            "overhead_clearance": sc.escape.overhead_clearance,
-        },
-        "sonar": {
-            "range": sc.sonar.range,
-            "horizontal_fov_deg": math.degrees(sc.sonar.horizontal_fov),
-            "vertical_fov_deg": math.degrees(sc.sonar.vertical_fov),
-        },
+        **{key: _dump_group(key, getattr(sc, key)) for key in GROUPS
+           if getattr(sc, key) is not None},
         "obstacles": [
             {"shape": ob.shape, "radius": ob.radius,
              "center": [ob.center.x, ob.center.y, ob.center.z],
@@ -461,10 +463,6 @@ def scenario_to_dict(sc: Scenario) -> dict:
             for ob in sc.obstacles
         ],
     }
-    if sc.flow is not None:
-        d["flow"] = {"amplitude": sc.flow.amplitude,
-                     "cell_size": sc.flow.cell_size,
-                     "max_depth": sc.flow.max_depth}
     if sc.random_obstacles is not None:
         rb = sc.random_obstacles
         d["random_obstacles"] = {

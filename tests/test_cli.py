@@ -1,5 +1,7 @@
 """Command-line entry points and their exit codes."""
 
+import math
+
 import yaml
 
 from mppf import cli
@@ -152,3 +154,14 @@ def test_unplaceable_random_field_rejected_by_every_subcommand(tmp_path, capsys)
         assert "random_obstacles: no room" in err
         assert "Traceback" not in err
     assert not (tmp_path / "o").exists() and not (tmp_path / "c").exists()
+
+
+def test_non_finite_numbers_rejected_by_validate_and_run(tmp_path, capsys):
+    for bad in ({"glider": {"max_depth": math.nan}}, {"seed": math.inf}):
+        path = write(tmp_path, dict(REACHES, **bad))
+        for argv in (["validate"], ["run", "--out", str(tmp_path / "o")]):
+            assert cli.main(argv + ["--scenario", path]) == 64
+            err = capsys.readouterr().err
+            assert "expected a finite number" in err
+            assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()

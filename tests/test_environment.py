@@ -15,7 +15,6 @@ from mppf.environment import (
     flow_velocity,
     glider_clearance,
     nearest_surface_point,
-    sense_obstacles,
     step_kinematics,
     surface_distance,
     surface_points,
@@ -155,13 +154,6 @@ def test_cylinder_sampled_on_shell_within_column():
         hd = math.hypot(p.position.x - 70.0, p.position.y - 50.0)
         assert hd == pytest.approx(5.0, rel=1e-12)
         assert 0.0 <= p.position.z <= 50.0
-
-
-def test_sense_obstacles_only_sees_visible():
-    w = world([sphere(70, 50, 10, 3.0), sphere(30, 50, 10, 3.0)])
-    pts = sense_obstacles(w, SONAR)
-    assert len(pts) == 9
-    assert all(p.position.x > 50.0 for p in pts)
 
 
 # --- kinematics ------------------------------------------------------------

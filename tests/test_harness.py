@@ -5,8 +5,9 @@ import math
 import pytest
 import yaml
 
-from mppf.environment import SonarModel, surface_points
-from mppf.geometry import Vec3
+from mppf import harness
+from mppf.environment import flow_velocity, surface_points, visible_obstacles
+from mppf.geometry import Vec3, build_sample_surface
 from mppf.harness import (
     EXIT_CODES,
     compare_modes,
@@ -118,30 +119,38 @@ def test_escape_events_paired():
 
 # --- decision replay -------------------------------------------------------
 
-def test_logged_decisions_replay_exactly():
+def test_logged_decisions_replay_exactly(monkeypatch):
+    """Every planner decision, replayed from the world it saw, against the
+    whole tracked set rather than the culled one, picks the same command."""
     sc = scenario(CLUSTER)
-    res = run_scenario(sc, keep_worlds=True)
-    assert res.decisions
-    from mppf.environment import flow_velocity
-    from mppf.geometry import build_sample_surface
+    seen = {"tracked": set()}
+    decisions = []
 
-    sonar = sc.sonar
-    replayed = 0
-    for row, world, waypoint, detected in res.decisions[:120]:
-        sample = res.trajectory[row]
+    def visible(world, sonar):
+        found = visible_obstacles(world, sonar)
+        seen["world"] = world
+        seen["tracked"] |= set(found)  # tracked once seen, as the harness does
+        return found
+
+    def select(surface, waypoint, *args):
+        cmd = select_goto(surface, waypoint, *args)
+        decisions.append((seen["world"], waypoint, sorted(seen["tracked"]), cmd))
+        return cmd
+
+    monkeypatch.setattr(harness, "visible_obstacles", visible)
+    monkeypatch.setattr(harness, "select_goto", select)
+    res = run_scenario(sc)
+    follow = [s for s in res.trajectory[:-1] if s.mode == "follow"]
+    assert len(follow) == len(decisions) > 0
+
+    for sample, (world, waypoint, tracked, cmd) in list(zip(follow, decisions))[:120]:
         assert sample.position == world.glider.position
-        pts = surface_points(world, sorted(detected), sonar)
+        assert sample.u_min == cmd.potential
+        pts = surface_points(world, tracked, sc.sonar)
         surf = build_sample_surface(world.glider, sc.glider, sc.dt)
         flow = flow_velocity(world.flow, world.glider.position)
-        cmd = select_goto(surf, waypoint, pts, flow, sc.potentials,
-                          "advanced", sc.glider.max_depth)
-        assert cmd.potential == sample.u_min
-        replayed += 1
-    assert replayed > 0
-
-
-def test_decisions_absent_by_default():
-    assert run_scenario(scenario(SAWTOOTH)).decisions is None
+        assert select_goto(surf, waypoint, pts, flow, sc.potentials,
+                           "advanced", sc.glider.max_depth) == cmd
 
 
 # --- outputs ---------------------------------------------------------------
