@@ -49,7 +49,6 @@ class EscapeState:
     """
 
     mode: str = "inactive"  # inactive | ascending | descending
-    origin: Vec3 | None = None
     residual_vx: float = 0.0
     residual_vy: float = 0.0
     progress_history: tuple[float, ...] = ()
@@ -140,14 +139,13 @@ def start_escape(glider: GliderState, direction: str, config: EscapeConfig,
     vh = glider.speed * math.cos(glider.attitude.theta)
     return replace(state,
                    mode=direction,
-                   origin=glider.position,
                    residual_vx=vh * math.cos(glider.attitude.psi),
                    residual_vy=vh * math.sin(glider.attitude.psi))
 
 
 def end_escape(state: EscapeState) -> EscapeState:
-    return replace(state, mode="inactive", origin=None,
-                   residual_vx=0.0, residual_vy=0.0, progress_history=())
+    return replace(state, mode="inactive", residual_vx=0.0, residual_vy=0.0,
+                   progress_history=())
 
 
 def escape_step(state: EscapeState, glider: GliderState, config: EscapeConfig,

@@ -1,9 +1,12 @@
 """Simulation driver wiring planner, escape, and environment, plus outputs.
 
-One run is a strict per-step loop: sense, plan (or continue an escape),
-move, track the waypoint plan. Every random draw comes from one seeded
-generator at materialization time and the arithmetic is pure IEEE doubles,
-so a (scenario, seed) pair reproduces byte-identical output files.
+Each step of a run has four phases: sense the obstacles; decide on a
+planner command or, when the vehicle is trapped or has no feasible
+candidate, on a vertical escape step; move; and after a planner step keep
+the books (progress, waypoints, cross-track replans). Every random draw
+comes from one seeded generator at materialization time and the
+arithmetic is pure IEEE doubles, so a (scenario, seed) pair reproduces
+byte-identical output files.
 """
 
 from __future__ import annotations
@@ -142,11 +145,13 @@ def run_scenario(scenario: Scenario, *, mode: str | None = None,
 
     rows: list[TrajectorySample] = []
     events: list[tuple[float, str]] = []
-    replans = 0
-    escapes = 0
     min_clear = glider_clearance(world.obstacles, glider.position, world.body_radius)
     status = STATUS_MAX_STEPS
     detected: set[int] = set()  # an obstacle stays tracked once seen
+
+    def replan(at: Vec3) -> saw.WaypointPlan:
+        events.append((world.time, "replan"))
+        return saw.replan_from(at, goal, scenario.sawtooth)
 
     for _ in range(max_steps):
         g = world.glider
@@ -154,6 +159,9 @@ def run_scenario(scenario: Scenario, *, mode: str | None = None,
             status = STATUS_REACHED
             break
 
+        # sense: a step that gets here calls visible_obstacles once, then one
+        # move (step_kinematics or esc.escape_step) unless it ends trapped;
+        # missionbench times each decision from the one call to the other
         detected.update(visible_obstacles(world, scenario.sonar))
         near = [i for i in sorted(detected)
                 if surface_distance(world.obstacles[i], g.position) <= cull]
@@ -162,76 +170,54 @@ def run_scenario(scenario: Scenario, *, mode: str | None = None,
         in_cz = esc.obstacles_in_critical_zone(points, g.position,
                                                world.body_radius, cfg_escape)
 
-        escaping = est.mode != "inactive"
-        if escaping and not in_cz:
-            # obstacle group cleared the critical zone: maneuver over,
-            # replan from wherever the escape left us
+        # decide: a planner command, or None and the escape's next glider
+        if est.mode != "inactive" and not in_cz:
+            # the group left the critical zone: escape over, replan from here
             est = esc.end_escape(est)
             events.append((world.time, "escape_end"))
-            plan = saw.replan_from(g.position, goal, scenario.sawtooth)
-            replans += 1
-            events.append((world.time, "replan"))
-            escaping = False
-
-        if not escaping:
-            trigger = esc.detect_local_minimum(est.progress_history, in_cz,
-                                               cfg_escape)
-            cmd = None
-            if not trigger:
-                surface = build_sample_surface(g, spec, dt)
-                try:
-                    cmd = select_goto(surface, plan.active_waypoint, points,
-                                      flow_here, scenario.potentials, mode,
-                                      spec.max_depth)
-                except NoFeasibleWaypoint:
-                    trigger = True
-            if trigger:
-                try:
-                    direction = esc.choose_direction(g.position, points,
-                                                     cfg_escape,
-                                                     world.body_radius,
-                                                     spec.max_depth)
-                except TrappedError:
-                    status = STATUS_TRAPPED
-                    events.append((world.time, "trapped"))
-                    break
-                est = esc.start_escape(g, direction, cfg_escape, est)
-                escapes += 1
-                events.append((world.time, f"escape_start:{direction}"))
-                escaping = True
-
-        if escaping:
+            plan = replan(g.position)
+        cmd = None
+        if est.mode == "inactive" and not esc.detect_local_minimum(
+                est.progress_history, in_cz, cfg_escape):
             try:
-                new_glider, est = esc.escape_step(est, g, cfg_escape,
-                                                  flow_here, spec.max_depth, dt)
+                cmd = select_goto(build_sample_surface(g, spec, dt),
+                                  plan.active_waypoint, points, flow_here,
+                                  scenario.potentials, mode, spec.max_depth)
+            except NoFeasibleWaypoint:
+                pass  # no candidate left: escape as from a stall
+        if cmd is None:
+            try:
+                if est.mode == "inactive":
+                    direction = esc.choose_direction(
+                        g.position, points, cfg_escape, world.body_radius,
+                        spec.max_depth)
+                    est = esc.start_escape(g, direction, cfg_escape, est)
+                    events.append((world.time, f"escape_start:{direction}"))
+                escaped, est = esc.escape_step(est, g, cfg_escape, flow_here,
+                                               spec.max_depth, dt)
             except TrappedError:
                 status = STATUS_TRAPPED
                 events.append((world.time, "trapped"))
                 break
-            rows.append(TrajectorySample(world.time, g.position,
-                                         g.attitude.psi, g.attitude.theta,
-                                         "escape", math.nan))
-            world = advance_world(world, new_glider, dt)
-            min_clear = min(min_clear, world.clearance)
-            if world.collision:
-                status = STATUS_COLLISION
-                break
-            continue
 
-        # planner step
+        # move: the row holds the state the step starts from
+        kind, u_min = ("escape", math.nan) if cmd is None else ("follow", cmd.potential)
         rows.append(TrajectorySample(world.time, g.position, g.attitude.psi,
-                                     g.attitude.theta, "follow", cmd.potential))
-        before = g.position.dist(plan.active_waypoint)
-        world = step_kinematics(world, cmd, dt)
-        pos = world.glider.position
+                                     g.attitude.theta, kind, u_min))
+        world = (advance_world(world, escaped, dt) if cmd is None
+                 else step_kinematics(world, cmd, dt))
         min_clear = min(min_clear, world.clearance)
-        est = esc.record_progress(est, before - pos.dist(plan.active_waypoint),
-                                  cfg_escape)
         if world.collision:
             status = STATUS_COLLISION
             break
+        if cmd is None:
+            continue
 
-        # waypoint bookkeeping; every leg change resets the stall window
+        # bookkeep a planner step; every leg change resets the stall window
+        pos = world.glider.position
+        wp = plan.active_waypoint
+        est = esc.record_progress(est, g.position.dist(wp) - pos.dist(wp),
+                                  cfg_escape)
         while True:
             nxt = saw.advance(plan, pos)
             if nxt is plan:
@@ -243,23 +229,22 @@ def run_scenario(scenario: Scenario, *, mode: str | None = None,
             continue  # reach test at the top of the next iteration decides
         a, b = saw.active_segment(plan)
         if saw.cross_track_distance(pos, a, b) > scenario.sawtooth.replan_cross_track:
-            plan = saw.replan_from(pos, goal, scenario.sawtooth)
-            replans += 1
-            events.append((world.time, "replan"))
+            plan = replan(pos)
             est = esc.clear_progress(est)
 
     g = world.glider
     rows.append(TrajectorySample(world.time, g.position, g.attitude.psi,
                                  g.attitude.theta, g.mode, math.nan))
     steps = len(rows) - 1
+    tags = [tag for _, tag in events]
     return RunResult(status=status,
                      reached=status == STATUS_REACHED,
                      time_cost=steps * dt,
                      drift=g.position.dist(goal),
                      min_clearance=min_clear,
                      collision=status == STATUS_COLLISION,
-                     replans=replans,
-                     escapes=escapes,
+                     replans=tags.count("replan"),
+                     escapes=sum(t.startswith("escape_start:") for t in tags),
                      seed=seed,
                      trajectory=rows,
                      events=events,

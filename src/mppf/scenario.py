@@ -259,7 +259,9 @@ def _read_obstacle(reader: _Reader, idx: int, raw, bounds: Bounds) -> Obstacle |
     if shape == CYLINDER and vel != ZERO:
         reader.problems.append(f"{name}.velocity: cylinders are static")
         vel = ZERO
-    if not (0.0 <= center.x <= bounds.x and 0.0 <= center.y <= bounds.y):
+    # a cylinder spans the whole water column, so its z is never read
+    if not (0.0 <= center.x <= bounds.x and 0.0 <= center.y <= bounds.y
+            and (shape == CYLINDER or 0.0 <= center.z <= bounds.depth)):
         reader.problems.append(f"{name}.center: outside the domain bounds")
     return Obstacle(shape, radius, center, vel)
 
@@ -377,10 +379,9 @@ def _build(data, default_name: str, require_version: bool) -> Scenario:
         if rsd is not None and (isinstance(rsd, bool) or not isinstance(rsd, int)):
             r.problems.append("random_obstacles.seed: expected an integer")
             rsd = None
+        keepout = r.num(rb, "random_obstacles", "keepout", 8.0, lo=0.0)
         if radius is not None and speed is not None:
-            rand = RandomObstacles(count, radius, speed, depth,
-                                   r.num(rb, "random_obstacles", "keepout",
-                                         8.0, lo=0.0), rsd)
+            rand = RandomObstacles(count, radius, speed, depth, keepout, rsd)
 
     if r.problems:
         raise ScenarioError(r.problems)

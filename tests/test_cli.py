@@ -30,20 +30,6 @@ COLLIDES = {
                    "velocity": [0.32, 0.32, 0]}],
 }
 
-# seed 4 of this field walls off the corridor with overlapping critical
-# zones spanning the whole water column; vertical escape has no exit
-TRAPS = {
-    "schema_version": 1,
-    "name": "boxed-in",
-    "mode": "advanced",
-    "start": [10, 70, 0],
-    "goal": [90, 10, 0],
-    "max_steps": 1500,
-    "seed": 4,
-    "random_obstacles": {"count": 30, "radius": [0.5, 7.0], "depth": [0.0, 30.0]},
-}
-
-
 def write(tmp_path, data, name="scenario.yaml"):
     p = tmp_path / name
     p.write_text(yaml.safe_dump(data))
@@ -69,8 +55,8 @@ def test_run_collision_exit_two(tmp_path):
                      "--out", str(tmp_path / "o")]) == 2
 
 
-def test_run_trapped_exit_three(tmp_path):
-    path = write(tmp_path, TRAPS)
+def test_run_trapped_exit_three(tmp_path, traps):
+    path = write(tmp_path, traps)
     assert cli.main(["run", "--scenario", path,
                      "--out", str(tmp_path / "o")]) == 3
 

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mppf.errors import TrappedError
 from mppf.escape import (
@@ -169,11 +171,43 @@ def test_surface_clamp_and_depth_limit():
         escape_step(st, g, CFG, ZERO, 30.0, 1.0)
 
 
+def finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(direction=st.sampled_from(["ascending", "descending"]),
+       max_depth=finite(1e-3, 1e3), depth_fraction=finite(0.0, 1.0),
+       x=finite(-1e4, 1e4), y=finite(-1e4, 1e4),
+       residual=st.tuples(finite(-10.0, 10.0), finite(-10.0, 10.0)),
+       flow=st.tuples(finite(-2.0, 2.0), finite(-2.0, 2.0), finite(-2.0, 2.0)),
+       dt=finite(1e-3, 100.0))
+def test_escape_step_stays_in_the_water_column(direction, max_depth,
+                                               depth_fraction, x, y, residual,
+                                               flow, dt):
+    """From anywhere in the column, a step ends between the surface and
+    max_depth, or raises TrappedError because its net vertical motion
+    (escape speed plus the flow's vertical component) would carry the
+    vehicle below max_depth."""
+    z = depth_fraction * max_depth
+    state = EscapeState(mode=direction, residual_vx=residual[0],
+                        residual_vy=residual[1])
+    g = glider(x=x, y=y, z=z, speed=0.3)
+    sink = (CFG.vertical_speed if direction == "descending"
+            else -CFG.vertical_speed) + flow[2]  # net downward speed
+    try:
+        moved, _ = escape_step(state, g, CFG, Vec3(*flow), max_depth, dt)
+    except TrappedError:
+        assert sink > 0.0
+        assert z + sink * dt > max_depth * (1.0 - 1e-12) - 1e-9
+        return
+    assert 0.0 <= moved.position.z <= max_depth
+
+
 def test_end_escape_resets_state():
     g = glider(speed=0.3)
     st = record_progress(start_escape(g, "ascending", CFG, fresh()), 0.0, CFG)
     st = end_escape(st)
     assert st.mode == "inactive"
-    assert st.origin is None
     assert st.residual_vx == 0.0 and st.residual_vy == 0.0
     assert st.progress_history == ()

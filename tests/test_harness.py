@@ -5,8 +5,9 @@ import math
 import pytest
 import yaml
 
-from mppf import harness
+from mppf import escape, harness
 from mppf.environment import flow_velocity, surface_points, visible_obstacles
+from mppf.errors import NoFeasibleWaypoint, TrappedError
 from mppf.geometry import Vec3, build_sample_surface
 from mppf.harness import (
     EXIT_CODES,
@@ -42,6 +43,27 @@ CLUSTER = {
 
 def scenario(data):
     return scenario_from_dict(dict(data), data["name"])
+
+
+def count_calls(monkeypatch):
+    """Count the sensing calls and the completed move calls of the runs
+    that follow; a move that raises is not counted."""
+    n = {"senses": 0, "moves": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            n[key] += 1
+            return out
+        return wrapper
+
+    monkeypatch.setattr(harness, "visible_obstacles",
+                        counted("senses", harness.visible_obstacles))
+    monkeypatch.setattr(harness, "step_kinematics",
+                        counted("moves", harness.step_kinematics))
+    monkeypatch.setattr(escape, "escape_step",
+                        counted("moves", escape.escape_step))
+    return n
 
 
 # --- run bookkeeping -------------------------------------------------------
@@ -115,6 +137,77 @@ def test_escape_events_paired():
     ends = [tag for _, tag in res.events if tag == "escape_end"]
     assert len(starts) == res.escapes
     assert len(ends) == len(starts)  # every maneuver in this run completes
+
+
+def test_senses_once_and_moves_once_per_step(monkeypatch):
+    n = count_calls(monkeypatch)
+    res = run_scenario(scenario(CLUSTER))
+    assert res.status == "reached" and res.escapes >= 1
+    steps = len(res.trajectory) - 1
+    assert n == {"senses": steps, "moves": steps}  # no sensing after arrival
+
+
+# --- trapped and infeasible branches ---------------------------------------
+
+def test_descending_escape_ends_trapped_at_the_depth_limit(monkeypatch, traps):
+    n = count_calls(monkeypatch)
+    res = run_scenario(scenario(traps))
+    assert res.status == "trapped"
+    assert res.events[-2:] == [(10.0, "escape_start:descending"),
+                               (176.0, "trapped")]
+    last = res.trajectory[-1]
+    assert len(res.trajectory) == 177 and last.t == 176.0
+    assert last.mode == "escape" and math.isnan(last.u_min)
+    assert last.position.z == pytest.approx(29.95653668647298, rel=1e-12)
+    assert last.position.z + 0.18 > 30.0  # the next descent step passes max_depth
+    assert (last.position.x, last.position.y) == pytest.approx(
+        (7.578230847651779, 67.81675009741456), rel=1e-12)
+    # the trapped step senses but does not move
+    assert n == {"senses": 177, "moves": 176}
+
+
+def test_no_feasible_waypoint_starts_an_escape_at_once(monkeypatch):
+    calls = []
+
+    def select(*args):
+        calls.append(args)
+        if len(calls) == 4:
+            raise NoFeasibleWaypoint("every candidate infeasible")
+        return select_goto(*args)
+
+    monkeypatch.setattr(harness, "select_goto", select)
+    sc = scenario(SAWTOOTH)
+    res = run_scenario(sc)
+    assert res.status == "reached"
+    row = res.trajectory[3]
+    assert [s.mode for s in res.trajectory[:4]] == ["follow"] * 3 + ["escape"]
+    assert math.isnan(row.u_min)
+    starts = [(t, tag) for t, tag in res.events if tag.startswith("escape_start:")]
+    assert [t for t, _ in starts] == [row.t]  # 4 steps: no full stall window
+    assert row.t < sc.escape.window * sc.dt
+    # open water: the next step leaves the escape and replans
+    t_next = res.trajectory[4].t
+    k = res.events.index(starts[0])
+    assert res.events[k + 1:k + 3] == [(t_next, "escape_end"), (t_next, "replan")]
+    assert res.escapes == 1
+    assert res.replans == sum(tag == "replan" for _, tag in res.events)
+
+
+def test_trapped_choosing_a_direction_records_no_move(monkeypatch, traps):
+    def no_way_out(*args):
+        raise TrappedError("no vertical escape")
+
+    n = count_calls(monkeypatch)
+    monkeypatch.setattr(escape, "choose_direction", no_way_out)
+    res = run_scenario(scenario(traps))  # its stall window fills at t=10
+    assert res.status == "trapped"
+    assert res.events[-1] == (10.0, "trapped")
+    assert not any(tag.startswith("escape_start") for _, tag in res.events)
+    assert res.escapes == 0
+    # rows for t=0..9 plus the terminal row; the trapped step has none
+    assert [s.t for s in res.trajectory] == [float(k) for k in range(11)]
+    assert [s.mode for s in res.trajectory] == ["follow"] * 11
+    assert n == {"senses": 11, "moves": 10}
 
 
 # --- decision replay -------------------------------------------------------

@@ -121,6 +121,31 @@ def test_problem_list_is_exact(fields, want):
     assert problems(fields) == want
 
 
+def test_keepout_checked_even_when_the_field_cannot_be_built():
+    assert problems({"random_obstacles": {"radius": "x", "keepout": -5}}) == [
+        "random_obstacles.radius: expected [low, high]",
+        "random_obstacles.keepout: must be >= 0.0"]
+    assert problems({"random_obstacles": {"speed": [2, 1], "keepout": "far"}}) == [
+        "random_obstacles.speed: expected 0.0 <= low <= high",
+        "random_obstacles.keepout: expected a number"]
+
+
+def test_sphere_centre_depth_checked_against_the_domain():
+    # the default domain is 50 m deep
+    spheres = [{"radius": 2, "center": [50, 50, z]} for z in (500, -9, 50, 0)]
+    assert problems({"obstacles": spheres}) == [
+        "obstacles[0].center: outside the domain bounds",
+        "obstacles[1].center: outside the domain bounds"]
+    # a full-depth cylinder never reads its z, so any z loads
+    cylinders = [{"shape": "cylinder", "radius": 2, "center": [30, 40, z]}
+                 for z in (60, -9)]
+    loaded = scenario_from_dict({**BASE, "obstacles": cylinders})
+    assert [o.center.z for o in loaded.obstacles] == [60.0, -9.0]
+    deep = scenario_from_dict({**BASE, "bounds": {"depth": 600},
+                               "obstacles": spheres[:1]})
+    assert deep.obstacles[0].center.z == 500.0
+
+
 def test_literal_stride_accepts_only_booleans():
     assert scenario_from_dict({**BASE, "sawtooth": {"literal_stride": True}}
                               ).sawtooth.literal_stride is True
