@@ -10,8 +10,7 @@ or static vertical cylinders spanning the water column.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass, field, replace
 
 from mppf.geometry import ZERO, Attitude, GliderState, Vec3, wrap_angle
 from mppf.potentials import GotoCommand, ObstaclePoint
@@ -19,8 +18,13 @@ from mppf.potentials import GotoCommand, ObstaclePoint
 SPHERE = "sphere"
 CYLINDER = "cylinder"
 
-# angular offsets of the 3x3 surface sampling grid
+# angular offsets of the 3x3 surface sampling grid, and their (cos, sin)
 _CAP_OFFSETS = (-math.radians(60.0), 0.0, math.radians(60.0))
+_CAP_TRIG = tuple((math.cos(a), math.sin(a)) for a in _CAP_OFFSETS)
+# cell side of the obstacle index. Any side gives the same answers; on the
+# anchorage field sides of 5 to 80 m cost the same within noise, and from
+# 20 m up glider_clearance never falls back to a full scan there
+_INDEX_CELL = 20.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,6 +66,61 @@ class Bounds:
     depth: float = 50.0
 
 
+class ObstacleIndex:
+    """Broad phase for the per-obstacle passes: a uniform x-y grid over the
+    static obstacles, plus the list of moving ones.
+
+    A static obstacle sits in the one square cell of side `cell` that holds
+    its center. A surface within `reach` of a point puts the center within
+    reach + radius of it horizontally, for spheres and pillars alike, so
+    `near` reads the cells overlapping the square of half-side reach + pad
+    around the point, where pad is the largest static radius plus 1 m to
+    absorb rounding. It walks that square's cells or, when fewer cells are
+    occupied, just the occupied ones, so an empty field costs nothing.
+    Obstacles move only when their velocity is nonzero, and they keep it
+    nonzero (walls only flip its sign), so the grid stays exact for a whole
+    run. Callers apply their exact test to the candidates.
+    """
+
+    __slots__ = ("cell", "pad", "cells", "moving")
+
+    def __init__(self, obstacles, cell: float = _INDEX_CELL):
+        self.cell = cell
+        moving, r_max, cells = [], 0.0, {}
+        for i, ob in enumerate(obstacles):
+            if ob.velocity != ZERO:
+                moving.append(i)
+                continue
+            r_max = max(r_max, ob.radius)
+            key = (math.floor(ob.center.x / cell), math.floor(ob.center.y / cell))
+            cells.setdefault(key, []).append(i)
+        self.moving = tuple(moving)
+        self.pad = r_max + 1.0
+        self.cells: dict[tuple[int, int], list[int]] = cells
+
+    def near(self, p: Vec3, reach: float) -> list[int]:
+        """Sorted indices of every obstacle whose surface may lie within
+        `reach` of p: a superset of the exact answer."""
+        out = list(self.moving)
+        cells = self.cells
+        if cells:
+            r, c = reach + self.pad, self.cell
+            x0, x1 = math.floor((p.x - r) / c), math.floor((p.x + r) / c)
+            y0, y1 = math.floor((p.y - r) / c), math.floor((p.y + r) / c)
+            if (x1 - x0 + 1) * (y1 - y0 + 1) <= len(cells):
+                for cx in range(x0, x1 + 1):
+                    for cy in range(y0, y1 + 1):
+                        hit = cells.get((cx, cy))
+                        if hit:
+                            out += hit
+            else:
+                for (cx, cy), hit in cells.items():
+                    if x0 <= cx <= x1 and y0 <= cy <= y1:
+                        out += hit
+            out.sort()
+        return out
+
+
 @dataclass(frozen=True, slots=True)
 class WorldState:
     glider: GliderState
@@ -72,6 +131,14 @@ class WorldState:
     time: float = 0.0
     # hull clearance set by advance_world; +inf before the first step
     clearance: float = math.inf
+    # obstacles the sonar has seen; one stays tracked once seen
+    tracked: frozenset[int] = frozenset()
+    # built from the initial obstacles; replace() carries it along
+    index: ObstacleIndex | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.index is None:
+            object.__setattr__(self, "index", ObstacleIndex(self.obstacles))
 
     @property
     def collision(self) -> bool:
@@ -132,13 +199,18 @@ def _sample_sphere(ob: Obstacle, gpos: Vec3) -> list[Vec3]:
     n = a.norm()
     e1 = Vec3(1.0, 0.0, 0.0) if n < 1e-9 else a * (1.0 / n)
     e2 = u.cross(e1)
+    c, r = ob.center, ob.radius
     pts = []
-    for alpha in _CAP_OFFSETS:
-        ca, sa = math.cos(alpha), math.sin(alpha)
-        for beta in _CAP_OFFSETS:
-            cb, sb = math.cos(beta), math.sin(beta)
-            w = (u * ca + e1 * sa) * cb + e2 * sb
-            pts.append(ob.center + w * ob.radius)
+    # w = (u*ca + e1*sa)*cb + e2*sb and center + w*r, component by
+    # component in the order the Vec3 operators evaluate it
+    for ca, sa in _CAP_TRIG:
+        vx = u.x * ca + e1.x * sa
+        vy = u.y * ca + e1.y * sa
+        vz = u.z * ca + e1.z * sa
+        for cb, sb in _CAP_TRIG:
+            pts.append(Vec3(c.x + (vx * cb + e2.x * sb) * r,
+                            c.y + (vy * cb + e2.y * sb) * r,
+                            c.z + (vz * cb + e2.z * sb) * r))
     return pts
 
 
@@ -198,28 +270,38 @@ def _cylinder_visible(ob: Obstacle, g: GliderState, sonar: SonarModel,
     return max(el_bot, lo) <= min(el_top, hi)
 
 
-def visible_obstacles(world: WorldState, sonar: SonarModel) -> list[int]:
-    """Indices of obstacles currently inside the sonar cone.
+def in_sonar_view(ob: Obstacle, g: GliderState, sonar: SonarModel,
+                  depth_bound: float) -> bool:
+    """True when the obstacle's nearest surface point is within range and
+    any part of its extent falls inside both field-of-view wedges of the
+    cone centered on the vehicle's attitude (the sonar sits on the nose and
+    pitches with the hull). The wedge tests widen by the body's angular
+    radius: an echo returns from anything the beam touches, not just from
+    the closest point."""
+    near = nearest_surface_point(ob, g.position, depth_bound)
+    if g.position.dist(near) > sonar.range:
+        return False
+    if ob.shape == SPHERE:
+        return _sphere_visible(ob, g, sonar)
+    return _cylinder_visible(ob, g, sonar, depth_bound)
 
-    An obstacle is visible when its nearest surface point is within range
-    and any part of its extent falls inside both field-of-view wedges of
-    the cone centered on the vehicle's attitude (the sonar sits on the
-    nose and pitches with the hull). The wedge tests widen by the body's
-    angular radius: an echo returns from anything the beam touches, not
-    just from the closest point.
-    """
+
+def visible_obstacles(world: WorldState, sonar: SonarModel) -> list[int]:
+    """Sorted indices of the obstacles in sonar view that are not yet in
+    `world.tracked`; only the index's candidates within range are tested."""
     g = world.glider
-    out = []
-    for i, ob in enumerate(world.obstacles):
-        near = nearest_surface_point(ob, g.position, world.bounds.depth)
-        if g.position.dist(near) > sonar.range:
-            continue
-        if ob.shape == SPHERE:
-            if _sphere_visible(ob, g, sonar):
-                out.append(i)
-        elif _cylinder_visible(ob, g, sonar, world.bounds.depth):
-            out.append(i)
-    return out
+    obstacles, depth, tracked = world.obstacles, world.bounds.depth, world.tracked
+    return [i for i in world.index.near(g.position, sonar.range)
+            if i not in tracked and in_sonar_view(obstacles[i], g, sonar, depth)]
+
+
+def obstacles_within(world: WorldState, indices, reach: float) -> list[int]:
+    """Sorted members of `indices` whose surface lies within `reach` of the
+    vehicle; only the index's candidates within reach are tested."""
+    p = world.glider.position
+    obstacles = world.obstacles
+    return [i for i in world.index.near(p, reach)
+            if i in indices and surface_distance(obstacles[i], p) <= reach]
 
 
 def surface_points(world: WorldState, indices, sonar: SonarModel) -> list[ObstaclePoint]:
@@ -257,22 +339,42 @@ def _reflect(c: float, v: float, lo: float, hi: float) -> tuple[float, float]:
     return c, v
 
 
-def glider_clearance(obstacles: Sequence[Obstacle], position: Vec3,
-                     body_radius: float) -> float:
-    """Smallest hull-to-surface distance; +inf in open water."""
+def glider_clearance(obstacles: tuple[Obstacle, ...], index: ObstacleIndex,
+                     position: Vec3, body_radius: float) -> float:
+    """Smallest hull-to-surface distance; +inf in open water.
+
+    The nearest of the index's candidates within one cell is the nearest
+    of all when its surface lies within that cell's reach, or when there
+    are no static obstacles (the moving ones are always candidates);
+    otherwise every obstacle is scanned. Rounding is monotone, so
+    subtracting the hull after the minimum gives the same bits as before it.
+    """
     best = math.inf
-    for ob in obstacles:
-        d = surface_distance(ob, position) - body_radius
+    for i in index.near(position, index.cell):
+        d = surface_distance(obstacles[i], position)
         if d < best:
             best = d
-    return best
+    if best > index.cell and index.cells:
+        for ob in obstacles:
+            d = surface_distance(ob, position)
+            if d < best:
+                best = d
+    return best - body_radius
 
 
 def advance_world(world: WorldState, new_glider: GliderState, dt: float) -> WorldState:
-    """Common tail of every simulation step: obstacles, clock, clearance."""
-    obstacles = tuple(_advance_obstacle(ob, world.bounds, dt)
-                      for ob in world.obstacles)
-    clearance = glider_clearance(obstacles, new_glider.position,
+    """Common tail of every simulation step: obstacles, clock, clearance.
+
+    Only the moving obstacles advance; a field without any keeps its tuple.
+    """
+    index = world.index
+    obstacles = world.obstacles
+    if index.moving:
+        moved = list(obstacles)
+        for i in index.moving:
+            moved[i] = _advance_obstacle(moved[i], world.bounds, dt)
+        obstacles = tuple(moved)
+    clearance = glider_clearance(obstacles, index, new_glider.position,
                                  world.body_radius)
     return replace(world, glider=new_glider, obstacles=obstacles,
                    time=world.time + dt, clearance=clearance)

@@ -12,7 +12,7 @@ byte-identical output files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -26,8 +26,8 @@ from mppf.environment import (
     advance_world,
     flow_velocity,
     glider_clearance,
+    obstacles_within,
     step_kinematics,
-    surface_distance,
     surface_points,
     visible_obstacles,
 )
@@ -138,16 +138,16 @@ def run_scenario(scenario: Scenario, *, mode: str | None = None,
     psi0, _ = saw.segment_angles(scenario.start, plan.active_waypoint)
     glider = GliderState(scenario.start, Attitude(psi0, 0.0), 0.0, "follow")
     obstacles = materialize_obstacles(scenario, seed)
+    cull = cull_radius(scenario, obstacles)
     world = WorldState(glider, obstacles, scenario.flow, scenario.bounds,
                        spec.body_radius)
-    cull = cull_radius(scenario, obstacles)
     est = esc.EscapeState()
 
     rows: list[TrajectorySample] = []
     events: list[tuple[float, str]] = []
-    min_clear = glider_clearance(world.obstacles, glider.position, world.body_radius)
+    min_clear = glider_clearance(obstacles, world.index, glider.position,
+                                 world.body_radius)
     status = STATUS_MAX_STEPS
-    detected: set[int] = set()  # an obstacle stays tracked once seen
 
     def replan(at: Vec3) -> saw.WaypointPlan:
         events.append((world.time, "replan"))
@@ -162,9 +162,10 @@ def run_scenario(scenario: Scenario, *, mode: str | None = None,
         # sense: a step that gets here calls visible_obstacles once, then one
         # move (step_kinematics or esc.escape_step) unless it ends trapped;
         # missionbench times each decision from the one call to the other
-        detected.update(visible_obstacles(world, scenario.sonar))
-        near = [i for i in sorted(detected)
-                if surface_distance(world.obstacles[i], g.position) <= cull]
+        seen = visible_obstacles(world, scenario.sonar)
+        if seen:
+            world = replace(world, tracked=world.tracked.union(seen))
+        near = obstacles_within(world, world.tracked, cull)
         points = surface_points(world, near, scenario.sonar)
         flow_here = flow_velocity(world.flow, g.position)
         in_cz = esc.obstacles_in_critical_zone(points, g.position,

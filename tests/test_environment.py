@@ -8,6 +8,7 @@ import pytest
 from mppf.environment import (
     Bounds,
     Obstacle,
+    ObstacleIndex,
     SonarModel,
     VortexFlow,
     WorldState,
@@ -71,9 +72,11 @@ def test_nearest_surface_point_lies_on_surface():
 
 
 def test_clearance_open_water_is_infinite():
-    assert glider_clearance((), Vec3(1, 2, 3), 0.6) == math.inf
+    assert glider_clearance((), ObstacleIndex((), 10.0), Vec3(1, 2, 3), 0.6) == math.inf
     obs = (sphere(50, 50, 10, 4.0), sphere(80, 80, 10, 2.0))
-    assert glider_clearance(obs, Vec3(60, 50, 10), 0.6) == pytest.approx(5.4)
+    for cell in (10.0, 1.0):  # nearest within one cell, and beyond it
+        got = glider_clearance(obs, ObstacleIndex(obs, cell), Vec3(60, 50, 10), 0.6)
+        assert got == pytest.approx(5.4)
 
 
 # --- visibility ------------------------------------------------------------

@@ -76,6 +76,17 @@ def test_critical_zone_uses_nearest_point_only():
     assert not obstacles_in_critical_zone((), pos, BODY, CFG)
 
 
+def test_small_obstacle_point_masks_a_large_obstacle_zone():
+    # zones: 0.5 + 0.6 + 5 = 6.1 for the small source, 15.6 for the large
+    pos = Vec3(50, 50, 10)
+    small = point(57.0, 50.0, 10.0, radius=0.5)  # 7 m: outside its own zone
+    large = point(50.0, 58.0, 10.0, radius=10.0)  # 8 m: inside the large zone
+    assert obstacles_in_critical_zone((large,), pos, BODY, CFG)
+    # only the nearest point is judged, so the small one decides
+    assert not obstacles_in_critical_zone((small, large), pos, BODY, CFG)
+    assert not obstacles_in_critical_zone((large, small), pos, BODY, CFG)
+
+
 # --- direction choice ------------------------------------------------------
 
 def test_open_water_prefers_ascending():
