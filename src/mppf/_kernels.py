@@ -1,13 +1,14 @@
 """Batch potential kernel: ``total_potential`` over a whole candidate grid.
 
 The loop repeats the operation order of the scalar potential functions in
-``mppf.potentials`` over flat buffers, so each candidate's score is
-bit-for-bit equal to composing the scalars (tests assert exact equality).
-Candidates coincident with an obstacle sample point get +inf instead of a
-score; the selector treats them as infeasible.
+``mppf.potentials`` over the fan, so each candidate's score is bit-for-bit
+equal to composing the scalars (tests assert exact equality). Candidates
+coincident with an obstacle sample point get +inf instead of a score; the
+selector treats them as infeasible.
 
-Buffers are flat float64 sequences: positions/velocities packed xyz per
-entry, one influence radius per obstacle point, one output per candidate.
+The kernel reads the fields as they are: each ``Candidate``'s position and
+velocity, each ``ObstaclePoint``'s position, velocity and influence radius,
+and the flow ``Vec3``. It writes one score per candidate into ``out``.
 """
 
 from math import acos, inf, pi, sqrt
@@ -15,15 +16,14 @@ from math import acos, inf, pi, sqrt
 BACKEND = "pure"  # the only kernel; named in benchmark reports
 
 
-def total_potential_grid(n, cand_pos, cand_vel, gx, gy, gz,
-                         m, obs_pos, obs_vel, obs_inf,
-                         fx, fy, fz, xi, eta, tau, kappa,
-                         align_max, advanced, out):
+def total_potential_grid(n, candidates, gx, gy, gz, flow, m, points,
+                         xi, eta, tau, kappa, align_max, advanced, out):
+    fx, fy, fz = flow.x, flow.y, flow.z
     fn = sqrt(fx * fx + fy * fy + fz * fz)
     for i in range(n):
-        cx = cand_pos[3 * i]
-        cy = cand_pos[3 * i + 1]
-        cz = cand_pos[3 * i + 2]
+        cand = candidates[i]
+        cp = cand.position
+        cx, cy, cz = cp.x, cp.y, cp.z
         dgx = gx - cx
         dgy = gy - cy
         dgz = gz - cz
@@ -31,15 +31,17 @@ def total_potential_grid(n, cand_pos, cand_vel, gx, gy, gz,
         u = 0.5 * xi * dg2
         blocked = False
         for j in range(m):
-            rx = obs_pos[3 * j] - cx
-            ry = obs_pos[3 * j + 1] - cy
-            rz = obs_pos[3 * j + 2] - cz
+            p = points[j]
+            op = p.position
+            rx = op.x - cx
+            ry = op.y - cy
+            rz = op.z - cz
             do2 = rx * rx + ry * ry + rz * rz
             if do2 == 0.0:
                 blocked = True
                 break
             d_o = sqrt(do2)
-            dtj = obs_inf[j]
+            dtj = p.influence
             if d_o <= dtj:
                 w = 1.0 / d_o - 1.0 / dtj
                 u += 0.5 * eta * w * w * dg2
@@ -47,21 +49,23 @@ def total_potential_grid(n, cand_pos, cand_vel, gx, gy, gz,
             out[i] = inf
             continue
         if advanced:
-            vx = cand_vel[3 * i]
-            vy = cand_vel[3 * i + 1]
-            vz = cand_vel[3 * i + 2]
+            cv = cand.velocity
+            vx, vy, vz = cv.x, cv.y, cv.z
             for j in range(m):
-                rx = obs_pos[3 * j] - cx
-                ry = obs_pos[3 * j + 1] - cy
-                rz = obs_pos[3 * j + 2] - cz
+                p = points[j]
+                op = p.position
+                rx = op.x - cx
+                ry = op.y - cy
+                rz = op.z - cz
                 do2 = rx * rx + ry * ry + rz * rz
                 d_o = sqrt(do2)
-                dtj = obs_inf[j]
+                dtj = p.influence
                 if d_o > dtj:
                     continue
-                v_uo = ((vx - obs_vel[3 * j]) * rx
-                        + (vy - obs_vel[3 * j + 1]) * ry
-                        + (vz - obs_vel[3 * j + 2]) * rz) / d_o
+                ov = p.velocity
+                v_uo = ((vx - ov.x) * rx
+                        + (vy - ov.y) * ry
+                        + (vz - ov.z) * rz) / d_o
                 if v_uo < 0.0:
                     continue
                 u += 0.5 * tau * v_uo / d_o

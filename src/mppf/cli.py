@@ -31,21 +31,23 @@ def _add_common(p: argparse.ArgumentParser, with_mode: bool) -> None:
                    help="override the step budget")
 
 
-def _load(path: str, seed: int | None = None):
-    """Parse the file and place its obstacles for the run's seed, so an
-    unplaceable random field is reported like any other invalid field."""
+def _invalid(path: str, e: ScenarioError) -> int:
+    print(f"invalid scenario {path}:", file=sys.stderr)
+    for problem in e.problems:
+        print(f"  - {problem}", file=sys.stderr)
+    return EXIT_INVALID
+
+
+def _load(path: str):
+    """Parse and check the file. Its obstacles are placed later, once per
+    run, so an unplaceable random field surfaces from `run_scenario`."""
     try:
-        sc = load_scenario(path)
-        materialize_obstacles(sc, sc.seed if seed is None else seed)
-        return sc
+        return load_scenario(path)
     except ScenarioError as e:
-        print(f"invalid scenario {path}:", file=sys.stderr)
-        for problem in e.problems:
-            print(f"  - {problem}", file=sys.stderr)
-        return None
+        _invalid(path, e)
     except OSError as e:
         print(f"cannot read {path}: {e}", file=sys.stderr)
-        return None
+    return None
 
 
 def _print_summary(label: str, summary: dict) -> None:
@@ -57,11 +59,14 @@ def _print_summary(label: str, summary: dict) -> None:
 
 
 def cmd_run(args) -> int:
-    sc = _load(args.scenario, args.seed)
+    sc = _load(args.scenario)
     if sc is None:
         return EXIT_INVALID
-    result = run_scenario(sc, mode=args.mode, seed=args.seed,
-                          max_steps=args.max_steps)
+    try:
+        result = run_scenario(sc, mode=args.mode, seed=args.seed,
+                              max_steps=args.max_steps)
+    except ScenarioError as e:
+        return _invalid(args.scenario, e)
     mode = args.mode or sc.mode
     seed = sc.seed if args.seed is None else args.seed
     out = args.out or f"runs/{sc.name}-{mode}-seed{seed}"
@@ -73,10 +78,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    sc = _load(args.scenario, args.seed)
+    sc = _load(args.scenario)
     if sc is None:
         return EXIT_INVALID
-    cmp = compare_modes(sc, seed=args.seed, max_steps=args.max_steps)
+    try:
+        cmp = compare_modes(sc, seed=args.seed, max_steps=args.max_steps)
+    except ScenarioError as e:
+        return _invalid(args.scenario, e)
     seed = sc.seed if args.seed is None else args.seed
     out = Path(args.out or f"runs/{sc.name}-compare-seed{seed}")
     emit_outputs(cmp.baseline, sc, out / "baseline")
@@ -97,6 +105,10 @@ def cmd_validate(args) -> int:
     sc = _load(args.scenario)
     if sc is None:
         return EXIT_INVALID
+    try:
+        materialize_obstacles(sc, sc.seed)
+    except ScenarioError as e:
+        return _invalid(args.scenario, e)
     n_explicit = len(sc.obstacles)
     n_random = sc.random_obstacles.count if sc.random_obstacles else 0
     print(f"{args.scenario}: ok ({sc.name}, mode={sc.mode}, "

@@ -145,13 +145,16 @@ class GliderState:
 
 @dataclass(frozen=True, slots=True)
 class Candidate:
-    """One reachable waypoint on the sample surface."""
+    """One reachable waypoint on the sample surface: the step's end point
+    (start + spherical_to_cartesian(psi, theta, speed * dt)) and the
+    still-water velocity that reaches it (spherical_to_cartesian(psi,
+    theta, speed)), which the potentials score."""
 
     position: Vec3
+    velocity: Vec3
     psi: float
     theta: float
     speed: float
-    radius: float  # slant reach this step, speed * dt
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,15 +178,27 @@ def build_sample_surface(state: GliderState, spec: GliderSpec, dt: float) -> Sam
     half = (GRID_N - 1) // 2
     psi_step = spec.max_heading_step / half
     theta_step = spec.max_glide_angle / half
+    pos = state.position
+
+    # one cos/sin pair per heading and per glide angle, multiplied in
+    # spherical_to_cartesian's operation order so the bits match it
+    glides = []
+    for j in range(-half, half + 1):
+        theta_j = theta0 + j * theta_step
+        theta_j = min(spec.max_glide_angle, max(-spec.max_glide_angle, theta_j))
+        speed = spec.speed_for(theta_j)
+        r = speed * dt
+        ct = math.cos(theta_j)
+        st = math.sin(theta_j)
+        glides.append((theta_j, speed, r * ct, -r * st, speed * ct, -speed * st))
 
     cands = []
     for i in range(-half, half + 1):
         psi_i = wrap_angle(psi0 + i * psi_step)
-        for j in range(-half, half + 1):
-            theta_j = theta0 + j * theta_step
-            theta_j = min(spec.max_glide_angle, max(-spec.max_glide_angle, theta_j))
-            speed = spec.speed_for(theta_j)
-            r = speed * dt
-            pos = state.position + spherical_to_cartesian(psi_i, theta_j, r)
-            cands.append(Candidate(pos, psi_i, theta_j, speed, r))
-    return SampleSurface(state.position, state.attitude, tuple(cands))
+        cp = math.cos(psi_i)
+        sp = math.sin(psi_i)
+        for theta_j, speed, rct, rz, vct, vz in glides:
+            cands.append(Candidate(
+                Vec3(pos.x + rct * cp, pos.y + rct * sp, pos.z + rz),
+                Vec3(vct * cp, vct * sp, vz), psi_i, theta_j, speed))
+    return SampleSurface(pos, state.attitude, tuple(cands))

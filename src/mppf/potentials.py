@@ -22,12 +22,7 @@ from typing import NamedTuple, Sequence
 
 from mppf import _kernels
 from mppf.errors import NoFeasibleWaypoint
-from mppf.geometry import (
-    SampleSurface,
-    Vec3,
-    angle_diff,
-    spherical_to_cartesian,
-)
+from mppf.geometry import SampleSurface, Vec3, angle_diff
 
 MODES = ("baseline", "advanced")
 
@@ -75,7 +70,6 @@ class GotoCommand:
     target: Vec3
     psi_d: float
     theta_d: float
-    depth_d: float
     potential: float
 
 
@@ -185,41 +179,6 @@ def total_potential(position: Vec3, velocity: Vec3, goal: Vec3,
     return u
 
 
-def _pack_candidates(surface: SampleSurface) -> tuple[int, array, array]:
-    n = len(surface.candidates)
-    cpos = array("d", bytes(24 * n))
-    cvel = array("d", bytes(24 * n))
-    k = 0
-    for c in surface.candidates:
-        cpos[k] = c.position.x
-        cpos[k + 1] = c.position.y
-        cpos[k + 2] = c.position.z
-        v = spherical_to_cartesian(c.psi, c.theta, c.speed)
-        cvel[k] = v.x
-        cvel[k + 1] = v.y
-        cvel[k + 2] = v.z
-        k += 3
-    return n, cpos, cvel
-
-
-def _pack_points(points: Sequence[ObstaclePoint]) -> tuple[int, array, array, array]:
-    m = len(points)
-    opos = array("d", bytes(24 * m))
-    ovel = array("d", bytes(24 * m))
-    oinf = array("d", bytes(8 * m))
-    k = 0
-    for j, p in enumerate(points):
-        opos[k] = p.position.x
-        opos[k + 1] = p.position.y
-        opos[k + 2] = p.position.z
-        ovel[k] = p.velocity.x
-        ovel[k + 1] = p.velocity.y
-        ovel[k + 2] = p.velocity.z
-        oinf[j] = p.influence
-        k += 3
-    return m, opos, ovel, oinf
-
-
 def grid_potentials(surface: SampleSurface, goal: Vec3,
                     points: Sequence[ObstaclePoint], flow: Vec3,
                     params: PotentialParams, mode: str) -> array:
@@ -229,12 +188,11 @@ def grid_potentials(surface: SampleSurface, goal: Vec3,
     """
     if mode not in MODES:
         raise ValueError(f"unknown planner mode: {mode!r}")
-    n, cpos, cvel = _pack_candidates(surface)
-    m, opos, ovel, oinf = _pack_points(points)
+    cands = surface.candidates
+    n = len(cands)
     out = array("d", bytes(8 * n))
     _kernels.total_potential_grid(
-        n, cpos, cvel, goal.x, goal.y, goal.z,
-        m, opos, ovel, oinf, flow.x, flow.y, flow.z,
+        n, cands, goal.x, goal.y, goal.z, flow, len(points), points,
         params.xi, params.eta, params.tau, params.kappa,
         params.flow_align_max, mode == "advanced", out)
     return out
@@ -274,5 +232,4 @@ def select_goto(surface: SampleSurface, goal: Vec3,
         raise NoFeasibleWaypoint(
             f"all {len(surface.candidates)} candidates infeasible at "
             f"({surface.center.x:.2f}, {surface.center.y:.2f}, {surface.center.z:.2f})")
-    return GotoCommand(best.position, best.psi, best.theta,
-                       best.position.z, best_key[0])
+    return GotoCommand(best.position, best.psi, best.theta, best_key[0])

@@ -4,7 +4,7 @@ import math
 
 import yaml
 
-from mppf import cli
+from mppf import cli, harness, scenario
 
 REACHES = {
     "schema_version": 1,
@@ -151,3 +151,22 @@ def test_non_finite_numbers_rejected_by_validate_and_run(tmp_path, capsys):
             assert "expected a finite number" in err
             assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_run_and_compare_materialize_once_per_mission(tmp_path, monkeypatch):
+    # count through both bindings: the CLI's own and the one run_scenario calls
+    calls = []
+    place = scenario.materialize_obstacles
+
+    def counted(*args):
+        calls.append(args)
+        return place(*args)
+
+    for module in (cli, harness):
+        monkeypatch.setattr(module, "materialize_obstacles", counted)
+    path = write(tmp_path, COLLIDES)
+    for argv, want in ((["run", "--out", str(tmp_path / "o")], 1),
+                       (["compare", "--out", str(tmp_path / "c")], 2)):
+        calls.clear()
+        cli.main(argv + ["--scenario", path, "--max-steps", "5"])
+        assert len(calls) == want, argv[0]

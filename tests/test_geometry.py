@@ -4,8 +4,11 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mppf.geometry import (
+    GRID_N,
     Attitude,
     GliderSpec,
     GliderState,
@@ -97,9 +100,8 @@ def test_candidate_positions_on_their_spheres():
     surf = build_sample_surface(glider(psi=-1.2, theta=-0.3), SPEC, dt)
     for c in surf.candidates:
         assert c.speed == SPEC.speed_for(c.theta)
-        assert c.radius == c.speed * dt
         d = (c.position - surf.center).norm()
-        assert d == pytest.approx(c.radius, rel=1e-12)
+        assert d == pytest.approx(c.speed * dt, rel=1e-12)
 
 
 def test_glide_clamp_keeps_duplicates():
@@ -123,3 +125,49 @@ def test_speeds_differ_across_glide_rows():
     surf = build_sample_surface(glider(), SPEC, 1.0)
     speeds = {c.speed for c in surf.candidates}
     assert speeds == {0.3, 0.5}
+
+
+def bits(v):
+    return tuple(float.hex(a) for a in (v.x, v.y, v.z))
+
+
+# headings around the +/-pi seam and glide angles at and past the envelope
+HEADINGS = st.one_of(st.floats(-4.0, 4.0),
+                     st.sampled_from([math.pi, -math.pi, math.nextafter(math.pi, 0.0),
+                                      0.0, -0.0]))
+GLIDES = st.one_of(st.floats(-1.6, 1.6), st.sampled_from([0.0, -0.0, 1.5, -1.5]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(psi=HEADINGS, theta=GLIDES,
+       step=st.floats(0.01, 1.2), glide=st.floats(0.05, 1.5),
+       down=st.floats(0.05, 2.0), up=st.floats(0.05, 2.0),
+       dt=st.floats(0.1, 10.0),
+       at=st.tuples(*[st.floats(-500.0, 500.0)] * 3))
+@example(psi=math.pi, theta=1.5, step=0.35, glide=0.8, down=0.5, up=0.3,
+         dt=1.0, at=(0.0, 0.0, 0.0))
+def test_fan_matches_spherical_to_cartesian_bit_for_bit(psi, theta, step, glide,
+                                                          down, up, dt, at):
+    # each candidate's position and velocity are the spherical_to_cartesian
+    # values, bit for bit (signed zeros too), on the expected 5x5 grid
+    spec = GliderSpec(max_heading_step=step, max_glide_angle=glide,
+                      speed_down=down, speed_up=up)
+    state = GliderState(Vec3(*at), Attitude(psi, theta), spec.speed_for(theta))
+    surf = build_sample_surface(state, spec, dt)
+    half = (GRID_N - 1) // 2
+    k = 0
+    for i in range(-half, half + 1):
+        psi_i = wrap_angle(psi + i * (step / half))
+        for j in range(-half, half + 1):
+            theta_j = min(glide, max(-glide, theta + j * (glide / half)))
+            c = surf.candidates[k]
+            k += 1
+            assert (float.hex(c.psi), float.hex(c.theta)) == (
+                float.hex(psi_i), float.hex(theta_j))
+            assert c.speed == spec.speed_for(theta_j)
+            assert bits(c.velocity) == bits(
+                spherical_to_cartesian(psi_i, theta_j, c.speed))
+            assert bits(c.position) == bits(
+                state.position + spherical_to_cartesian(psi_i, theta_j,
+                                                        c.speed * dt))
+    assert k == len(surf.candidates)
