@@ -9,6 +9,11 @@ selector treats them as infeasible.
 The kernel reads the fields as they are: each ``Candidate``'s position and
 velocity, each ``ObstaclePoint``'s position, velocity and influence radius,
 and the flow ``Vec3``. It writes one score per candidate into ``out``.
+
+It scores every candidate x point pair it is given. ``grid_potentials``
+passes only the points within reach of the fan (influence + fan reach +
+1 m of its center); the rest lie beyond their influence radius from every
+candidate and would add no term, so the result is the same bits.
 """
 
 from math import acos, inf, pi, sqrt

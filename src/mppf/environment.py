@@ -277,7 +277,8 @@ def in_sonar_view(ob: Obstacle, g: GliderState, sonar: SonarModel,
     cone centered on the vehicle's attitude (the sonar sits on the nose and
     pitches with the hull). The wedge tests widen by the body's angular
     radius: an echo returns from anything the beam touches, not just from
-    the closest point."""
+    the closest point. This is the exact test; `visible_obstacles` calls it
+    only on obstacles that pass a cheaper range test first."""
     near = nearest_surface_point(ob, g.position, depth_bound)
     if g.position.dist(near) > sonar.range:
         return False
@@ -288,11 +289,37 @@ def in_sonar_view(ob: Obstacle, g: GliderState, sonar: SonarModel,
 
 def visible_obstacles(world: WorldState, sonar: SonarModel) -> list[int]:
     """Sorted indices of the obstacles in sonar view that are not yet in
-    `world.tracked`; only the index's candidates within range are tested."""
+    `world.tracked`; only the index's candidates within range are tested.
+
+    Before the exact `in_sonar_view`, a candidate whose center lies farther
+    than range + radius + 1 m is dropped: its nearest surface point is then
+    beyond range (the 1 m absorbs rounding). The distance is 3D for a
+    sphere and horizontal for a pillar, whose nearest surface point sits at
+    the vehicle's own depth clamped to the water column.
+    """
     g = world.glider
+    p = g.position
+    px, py, pz = p.x, p.y, p.z
     obstacles, depth, tracked = world.obstacles, world.bounds.depth, world.tracked
-    return [i for i in world.index.near(g.position, sonar.range)
-            if i not in tracked and in_sonar_view(obstacles[i], g, sonar, depth)]
+    pad = sonar.range + 1.0
+    out = []
+    for i in world.index.near(p, sonar.range):
+        if i in tracked:
+            continue
+        ob = obstacles[i]
+        c = ob.center
+        dx = c.x - px
+        dy = c.y - py
+        d2 = dx * dx + dy * dy
+        if ob.shape == SPHERE:
+            dz = c.z - pz
+            d2 += dz * dz
+        lim = ob.radius + pad
+        if d2 > lim * lim:
+            continue
+        if in_sonar_view(ob, g, sonar, depth):
+            out.append(i)
+    return out
 
 
 def obstacles_within(world: WorldState, indices, reach: float) -> list[int]:

@@ -162,6 +162,9 @@ class SampleSurface:
     center: Vec3
     attitude: Attitude
     candidates: tuple[Candidate, ...]
+    # largest slant range speed * dt of the fan: no candidate lies farther
+    # than this from center (up to rounding)
+    reach: float
 
 
 def build_sample_surface(state: GliderState, spec: GliderSpec, dt: float) -> SampleSurface:
@@ -171,7 +174,8 @@ def build_sample_surface(state: GliderState, spec: GliderSpec, dt: float) -> Sam
     theta +/- max_glide_angle clamped to the envelope. Duplicate glide
     angles produced by clamping are kept so the grid stays 5x5 and
     indexing is stable. Each candidate sits at its own slant range
-    speed(theta_i) * dt from the current position.
+    speed(theta_i) * dt from the current position; the largest is the
+    surface's reach.
     """
     psi0 = state.attitude.psi
     theta0 = state.attitude.theta
@@ -183,11 +187,13 @@ def build_sample_surface(state: GliderState, spec: GliderSpec, dt: float) -> Sam
     # one cos/sin pair per heading and per glide angle, multiplied in
     # spherical_to_cartesian's operation order so the bits match it
     glides = []
+    reach = 0.0
     for j in range(-half, half + 1):
         theta_j = theta0 + j * theta_step
         theta_j = min(spec.max_glide_angle, max(-spec.max_glide_angle, theta_j))
         speed = spec.speed_for(theta_j)
         r = speed * dt
+        reach = max(reach, r)
         ct = math.cos(theta_j)
         st = math.sin(theta_j)
         glides.append((theta_j, speed, r * ct, -r * st, speed * ct, -speed * st))
@@ -201,4 +207,4 @@ def build_sample_surface(state: GliderState, spec: GliderSpec, dt: float) -> Sam
             cands.append(Candidate(
                 Vec3(pos.x + rct * cp, pos.y + rct * sp, pos.z + rz),
                 Vec3(vct * cp, vct * sp, vz), psi_i, theta_j, speed))
-    return SampleSurface(pos, state.attitude, tuple(cands))
+    return SampleSurface(pos, state.attitude, tuple(cands), reach)

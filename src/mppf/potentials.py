@@ -10,7 +10,9 @@ orientations a glider can hold) and penalizes nothing in between.
 The scalar functions here are the reference implementations. The batch
 evaluator in ``mppf._kernels`` repeats the identical operation sequence over
 the whole grid, so kernel results are bit-for-bit equal to composing the
-scalars; tests assert exact agreement.
+scalars; tests assert exact agreement. ``grid_potentials`` hands the kernel
+only the points within reach of the fan, since a point beyond its influence
+radius from every candidate adds nothing.
 """
 
 from __future__ import annotations
@@ -185,14 +187,33 @@ def grid_potentials(surface: SampleSurface, goal: Vec3,
     """Evaluate total_potential over the whole surface via the batch kernel.
 
     Candidates coincident with an obstacle sample point come back +inf.
+    The kernel receives only the points within influence + surface.reach
+    + 1 m of surface.center, in their original order. By the triangle
+    inequality a point farther out lies beyond its influence radius from
+    every candidate (the 1 m absorbs rounding), so it would add no term
+    and block no candidate: the scores are the same bits as over all
+    points.
     """
     if mode not in MODES:
         raise ValueError(f"unknown planner mode: {mode!r}")
+    c = surface.center
+    cx, cy, cz = c.x, c.y, c.z
+    pad = surface.reach + 1.0
+    near = []
+    for p in points:
+        q = p.position
+        dx = q.x - cx
+        dy = q.y - cy
+        dz = q.z - cz
+        lim = p.influence + pad
+        if dx * dx + dy * dy + dz * dz > lim * lim:
+            continue
+        near.append(p)
     cands = surface.candidates
     n = len(cands)
     out = array("d", bytes(8 * n))
     _kernels.total_potential_grid(
-        n, cands, goal.x, goal.y, goal.z, flow, len(points), points,
+        n, cands, goal.x, goal.y, goal.z, flow, len(near), near,
         params.xi, params.eta, params.tau, params.kappa,
         params.flow_align_max, mode == "advanced", out)
     return out

@@ -46,6 +46,9 @@ def test_kernel_args_carry_the_counts_the_probe_multiplies(monkeypatch):
         GliderSpec(), 1.0)
     points = [ObstaclePoint(Vec3(50.0 + k, 52.0, 10.0), Vec3(0.1, 0.0, 0.0),
                             8.0, 2.0) for k in range(7)]
+    # beyond influence + fan reach of every candidate: never scored
+    far = ObstaclePoint(Vec3(20.0, 50.0, 10.0), Vec3(0.0, 0.0, 0.0), 8.0, 2.0)
+    points.insert(3, far)
     seen = []
     kernel = _kernels.total_potential_grid
 
@@ -58,4 +61,7 @@ def test_kernel_args_carry_the_counts_the_probe_multiplies(monkeypatch):
                     PotentialParams(), "advanced")
     (args,) = seen
     assert args[0] == len(surf.candidates) == 25
-    assert args[6] == len(points) == 7
+    # the probe's pairs count, args[0] * args[6], is the pairs scored
+    assert args[6] == len(args[7]) == 7
+    assert far not in args[7]
+    assert list(args[7]) == [p for p in points if p is not far]

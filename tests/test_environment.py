@@ -100,6 +100,24 @@ def test_obstacle_beyond_range_is_not_visible():
     assert visible_obstacles(w, grazing) == [0]
 
 
+def test_range_bound_sphere_surface_exactly_at_range_is_seen():
+    # center 24 m dead ahead, radius 3: the nearest surface point is 21 m
+    # out with no rounding, and the center sits at range + radius
+    w = world([sphere(74.0, 50.0, 10.0, 3.0)])
+    assert visible_obstacles(w, SonarModel(range=21.0)) == [0]
+    assert visible_obstacles(w, SonarModel(range=math.nextafter(21.0, 0.0))) == []
+
+
+def test_range_bound_pillar_is_measured_horizontally():
+    # 30 m down, the pillar's surface is 15 m away at the vehicle's depth,
+    # but its center (at the surface) is 36 m off in 3D, past range + r + 1
+    cyl = Obstacle("cylinder", 5.0, Vec3(70.0, 50.0, 0.0))
+    w = world([cyl], at=Vec3(50.0, 50.0, 30.0))
+    sonar = SonarModel(range=16.0)
+    assert w.glider.position.dist(cyl.center) > sonar.range + cyl.radius + 1.0
+    assert visible_obstacles(w, sonar) == [0]
+
+
 def test_extent_widens_the_vertical_wedge():
     # center sits below the 15 deg half-angle, but the upper limb of a fat
     # sphere still pokes into the wedge

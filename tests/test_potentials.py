@@ -2,9 +2,13 @@
 
 import math
 import random
+from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mppf import _kernels
 from mppf.errors import NoFeasibleWaypoint
 from mppf.geometry import (
     Attitude,
@@ -97,6 +101,83 @@ def test_selection_agrees_with_brute_force_randomized():
         want, want_key = brute_force(surf, goal, pts, flow, PARAMS, mode, 30.0)
         assert cmd.target == want.position
         assert cmd.potential == want_key[0]
+
+
+def floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def unit_vectors(draw):
+    psi, theta = draw(floats(-math.pi, math.pi)), draw(floats(-1.57, 1.57))
+    return spherical_to_cartesian(psi, theta, 1.0)
+
+
+@st.composite
+def fan_cases(draw):
+    """A fan from random speeds, dt and attitude, and points around it.
+
+    A point sits near a candidate (within, at, or just past its influence
+    radius from it), at or just either side of influence + reach or of
+    influence + reach + 1 m from the fan's center along a candidate's own
+    direction, exactly on a candidate, or anywhere out to well past the
+    reach. Each may drift, so the closing-velocity term counts too."""
+    spec = GliderSpec(speed_down=draw(floats(0.05, 2.0)),
+                      speed_up=draw(floats(0.05, 2.0)))
+    dt = draw(floats(0.1, 30.0))
+    center = Vec3(draw(floats(-50.0, 250.0)), draw(floats(-50.0, 250.0)),
+                  draw(floats(0.0, 50.0)))
+    theta = draw(floats(-0.7, 0.7))
+    surf = build_sample_surface(
+        GliderState(center, Attitude(draw(floats(-math.pi, math.pi)), theta),
+                    spec.speed_for(theta)), spec, dt)
+    cands = surf.candidates
+    points = []
+    for _ in range(draw(st.integers(0, 10))):
+        influence = draw(floats(0.5, 40.0))
+        c = draw(st.sampled_from(cands))
+        kind = draw(st.sampled_from(("near", "boundary", "on", "anywhere")))
+        if kind == "near":
+            pos = c.position + draw(unit_vectors()) * (
+                influence * draw(floats(0.0, 1.01)))
+        elif kind == "boundary":
+            out = c.position - center
+            out = out * (1.0 / out.norm())
+            d = influence + surf.reach + draw(st.sampled_from((0.0, 1.0)))
+            d = draw(st.sampled_from((d, math.nextafter(d, 0.0),
+                                      math.nextafter(d, math.inf),
+                                      d - 1e-9, d + 1e-9)))
+            pos = center + out * d
+        elif kind == "on":
+            pos = c.position
+        else:
+            pos = center + draw(unit_vectors()) * draw(
+                floats(0.0, influence + surf.reach + 5.0))
+        vel = Vec3(0.0, 0.0, 0.0)
+        if draw(st.booleans()):
+            vel = draw(unit_vectors()) * draw(floats(0.0, 2.0))
+        points.append(ObstaclePoint(pos, vel, influence, 0.5 * influence))
+    goal = Vec3(draw(floats(-50.0, 250.0)), draw(floats(-50.0, 250.0)),
+                draw(floats(0.0, 50.0)))
+    flow = Vec3(draw(floats(-0.5, 0.5)), draw(floats(-0.5, 0.5)), 0.0)
+    return surf, goal, points, flow
+
+
+@settings(max_examples=300, deadline=None)
+@given(fan_cases())
+def test_point_filter_leaves_every_score_bit_identical(case):
+    """grid_potentials hands the kernel only the points within reach of the
+    fan; scoring every point gives the same bits in both modes."""
+    surf, goal, points, flow = case
+    n = len(surf.candidates)
+    for mode in ("baseline", "advanced"):
+        want = array("d", bytes(8 * n))
+        _kernels.total_potential_grid(
+            n, surf.candidates, goal.x, goal.y, goal.z, flow, len(points),
+            points, PARAMS.xi, PARAMS.eta, PARAMS.tau, PARAMS.kappa,
+            PARAMS.flow_align_max, mode == "advanced", want)
+        got = grid_potentials(surf, goal, points, flow, PARAMS, mode)
+        assert [u.hex() for u in got] == [u.hex() for u in want]
 
 
 # --- tie-breaking ----------------------------------------------------------
