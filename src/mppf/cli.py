@@ -2,7 +2,7 @@
 
 Exit codes for `run` (and `compare`, from its advanced-mode run):
 0 reached, 2 collision, 3 trapped, 4 step budget exhausted. Scenario
-validation problems exit 64 for every subcommand.
+validation problems, and a `--max-steps` below 1, exit 64.
 """
 
 from __future__ import annotations
@@ -136,6 +136,10 @@ def main(argv=None) -> int:
     p_val.set_defaults(func=cmd_validate)
 
     args = parser.parse_args(argv)
+    if getattr(args, "max_steps", None) is not None and args.max_steps <= 0:
+        print(f"--max-steps: must be positive, got {args.max_steps}",
+              file=sys.stderr)
+        return EXIT_INVALID
     return args.func(args)
 
 

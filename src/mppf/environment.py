@@ -169,22 +169,6 @@ def surface_distance(ob: Obstacle, p: Vec3) -> float:
     return p.hdist(ob.center) - ob.radius
 
 
-def nearest_surface_point(ob: Obstacle, p: Vec3, depth_bound: float) -> Vec3:
-    if ob.shape == SPHERE:
-        d = p.dist(ob.center)
-        if d < 1e-9:
-            return ob.center + Vec3(ob.radius, 0.0, 0.0)
-        return ob.center + (p - ob.center) * (ob.radius / d)
-    hd = p.hdist(ob.center)
-    z = min(depth_bound, max(0.0, p.z))
-    if hd < 1e-9:
-        return Vec3(ob.center.x + ob.radius, ob.center.y, z)
-    s = ob.radius / hd
-    return Vec3(ob.center.x + (p.x - ob.center.x) * s,
-                ob.center.y + (p.y - ob.center.y) * s,
-                z)
-
-
 def _sample_sphere(ob: Obstacle, gpos: Vec3) -> list[Vec3]:
     """3x3 grid on the glider-facing cap.
 
@@ -239,87 +223,47 @@ def _sample_cylinder(ob: Obstacle, gpos: Vec3, depth_bound: float,
     return pts
 
 
-def _sphere_visible(ob: Obstacle, g: GliderState, sonar: SonarModel) -> bool:
-    d = g.position.dist(ob.center)
-    if d <= ob.radius:
-        return True
-    alpha = math.asin(min(1.0, ob.radius / d))
-    az = math.atan2(ob.center.y - g.position.y, ob.center.x - g.position.x)
-    if abs(wrap_angle(az - g.attitude.psi)) > 0.5 * sonar.horizontal_fov + alpha:
-        return False
-    el = math.atan2(g.position.z - ob.center.z, g.position.hdist(ob.center))
-    return abs(el - g.attitude.theta) <= 0.5 * sonar.vertical_fov + alpha
-
-
-def _cylinder_visible(ob: Obstacle, g: GliderState, sonar: SonarModel,
-                      depth_bound: float) -> bool:
-    hd = g.position.hdist(ob.center)
-    if hd <= ob.radius:
-        return True
-    alpha = math.asin(min(1.0, ob.radius / hd))
-    az = math.atan2(ob.center.y - g.position.y, ob.center.x - g.position.x)
-    if abs(wrap_angle(az - g.attitude.psi)) > 0.5 * sonar.horizontal_fov + alpha:
-        return False
-    # full-column pillar: elevation extent runs from the surface rim down
-    # to the bottom rim at the near face
-    near_h = hd - ob.radius
-    el_top = math.atan2(g.position.z, near_h)
-    el_bot = math.atan2(g.position.z - depth_bound, near_h)
-    lo = g.attitude.theta - 0.5 * sonar.vertical_fov
-    hi = g.attitude.theta + 0.5 * sonar.vertical_fov
-    return max(el_bot, lo) <= min(el_top, hi)
-
-
 def in_sonar_view(ob: Obstacle, g: GliderState, sonar: SonarModel,
                   depth_bound: float) -> bool:
-    """True when the obstacle's nearest surface point is within range and
-    any part of its extent falls inside both field-of-view wedges of the
-    cone centered on the vehicle's attitude (the sonar sits on the nose and
-    pitches with the hull). The wedge tests widen by the body's angular
-    radius: an echo returns from anything the beam touches, not just from
-    the closest point. This is the exact test; `visible_obstacles` calls it
-    only on obstacles that pass a cheaper range test first."""
-    near = nearest_surface_point(ob, g.position, depth_bound)
-    if g.position.dist(near) > sonar.range:
+    """True when the obstacle's surface is within range and any part of it
+    falls inside both field-of-view wedges of the cone centered on the
+    vehicle's attitude (the sonar sits on the nose and pitches with the
+    hull). The one distance d runs to a sphere's center in 3D and to a
+    pillar's axis horizontally, so the nearest surface point lies |d - r|
+    away (for a pillar, while the vehicle is in the water column, which
+    scenario validation guarantees); a vehicle inside the body sees it. The
+    wedges widen by the body's angular radius: an echo returns from
+    anything the beam touches."""
+    p, c, r = g.position, ob.center, ob.radius
+    dx = c.x - p.x
+    dy = c.y - p.y
+    hd = math.sqrt(dx * dx + dy * dy)
+    d = p.dist(c) if ob.shape == SPHERE else hd
+    if abs(d - r) > sonar.range:
         return False
+    if d <= r:
+        return True
+    alpha = math.asin(min(1.0, r / d))
+    az = math.atan2(dy, dx)
+    if abs(wrap_angle(az - g.attitude.psi)) > 0.5 * sonar.horizontal_fov + alpha:
+        return False
+    theta, half = g.attitude.theta, 0.5 * sonar.vertical_fov
     if ob.shape == SPHERE:
-        return _sphere_visible(ob, g, sonar)
-    return _cylinder_visible(ob, g, sonar, depth_bound)
+        return abs(math.atan2(p.z - c.z, hd) - theta) <= half + alpha
+    # full-column pillar: elevation extent runs from the surface rim down
+    # to the bottom rim at the near face
+    el_top = math.atan2(p.z, hd - r)
+    el_bot = math.atan2(p.z - depth_bound, hd - r)
+    return max(el_bot, theta - half) <= min(el_top, theta + half)
 
 
 def visible_obstacles(world: WorldState, sonar: SonarModel) -> list[int]:
     """Sorted indices of the obstacles in sonar view that are not yet in
-    `world.tracked`; only the index's candidates within range are tested.
-
-    Before the exact `in_sonar_view`, a candidate whose center lies farther
-    than range + radius + 1 m is dropped: its nearest surface point is then
-    beyond range (the 1 m absorbs rounding). The distance is 3D for a
-    sphere and horizontal for a pillar, whose nearest surface point sits at
-    the vehicle's own depth clamped to the water column.
-    """
+    `world.tracked`; only the index's candidates within range are tested."""
     g = world.glider
-    p = g.position
-    px, py, pz = p.x, p.y, p.z
     obstacles, depth, tracked = world.obstacles, world.bounds.depth, world.tracked
-    pad = sonar.range + 1.0
-    out = []
-    for i in world.index.near(p, sonar.range):
-        if i in tracked:
-            continue
-        ob = obstacles[i]
-        c = ob.center
-        dx = c.x - px
-        dy = c.y - py
-        d2 = dx * dx + dy * dy
-        if ob.shape == SPHERE:
-            dz = c.z - pz
-            d2 += dz * dz
-        lim = ob.radius + pad
-        if d2 > lim * lim:
-            continue
-        if in_sonar_view(ob, g, sonar, depth):
-            out.append(i)
-    return out
+    return [i for i in world.index.near(g.position, sonar.range)
+            if i not in tracked and in_sonar_view(obstacles[i], g, sonar, depth)]
 
 
 def obstacles_within(world: WorldState, indices, reach: float) -> list[int]:

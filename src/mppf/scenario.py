@@ -327,6 +327,8 @@ def _build(data, default_name: str, require_version: bool) -> Scenario:
 
     bounds = _read_group(r, "bounds", Bounds())
     glider = _read_group(r, "glider", GliderSpec())
+    if glider.max_depth > bounds.depth:
+        r.problems.append("glider.max_depth: deeper than the domain")
     sawtooth = _read_group(r, "sawtooth", SawtoothParams(
         max_depth=glider.max_depth, water_depth=bounds.depth,
         max_glide_angle=glider.max_glide_angle))

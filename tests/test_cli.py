@@ -67,6 +67,17 @@ def test_run_budget_exhausted_exit_four(tmp_path):
                      "--out", str(tmp_path / "o")]) == 4
 
 
+def test_non_positive_max_steps_rejected_by_run_and_compare(tmp_path, capsys):
+    path = write(tmp_path, REACHES)
+    for steps in ("0", "-3"):
+        for argv in (["run", "--out", str(tmp_path / "o")],
+                     ["compare", "--out", str(tmp_path / "c")]):
+            assert cli.main(argv + ["--scenario", path, "--max-steps", steps]) == 64
+            err = capsys.readouterr().err
+            assert err == f"--max-steps: must be positive, got {steps}\n"
+    assert not (tmp_path / "o").exists() and not (tmp_path / "c").exists()
+
+
 def test_run_mode_override(tmp_path, capsys):
     path = write(tmp_path, REACHES)
     code = cli.main(["run", "--scenario", path, "--mode", "advanced",

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mppf.environment import (
     Bounds,
@@ -15,13 +17,13 @@ from mppf.environment import (
     advance_world,
     flow_velocity,
     glider_clearance,
-    nearest_surface_point,
+    in_sonar_view,
     step_kinematics,
     surface_distance,
     surface_points,
     visible_obstacles,
 )
-from mppf.geometry import Attitude, GliderState, Vec3
+from mppf.geometry import Attitude, GliderState, Vec3, wrap_angle
 from mppf.potentials import GotoCommand
 
 SONAR = SonarModel()
@@ -58,17 +60,6 @@ def test_surface_distance_sphere_and_cylinder():
     # depth is irrelevant to a full-depth pillar
     assert surface_distance(cyl, Vec3(30, 50, 3)) == pytest.approx(5.0)
     assert surface_distance(cyl, Vec3(30, 50, 47)) == pytest.approx(5.0)
-
-
-def test_nearest_surface_point_lies_on_surface():
-    sp = sphere(50, 50, 10, 4.0)
-    p = nearest_surface_point(sp, Vec3(60, 50, 10), 50.0)
-    assert p == Vec3(54.0, 50.0, 10.0)
-    cyl = Obstacle("cylinder", 5.0, Vec3(30.0, 40.0, 0.0))
-    q = nearest_surface_point(cyl, Vec3(30.0, 50.0, 12.0), 50.0)
-    assert q.x == pytest.approx(30.0)
-    assert q.y == pytest.approx(45.0)
-    assert q.z == 12.0  # pillar matches the vehicle's depth within the column
 
 
 def test_clearance_open_water_is_infinite():
@@ -116,6 +107,80 @@ def test_range_bound_pillar_is_measured_horizontally():
     sonar = SonarModel(range=16.0)
     assert w.glider.position.dist(cyl.center) > sonar.range + cyl.radius + 1.0
     assert visible_obstacles(w, sonar) == [0]
+
+
+def nearest_point_in_view(ob, g, sonar, depth_bound):
+    """The sonar test with range gated on an explicit nearest surface point
+    (a pillar's at the vehicle's depth, clamped to the water column):
+    (in view, distance to that point)."""
+    p, c, r = g.position, ob.center, ob.radius
+    if ob.shape == "sphere":
+        d = p.dist(c)
+        near = c + Vec3(r, 0.0, 0.0) if d < 1e-9 else c + (p - c) * (r / d)
+    else:
+        d = p.hdist(c)
+        z = min(depth_bound, max(0.0, p.z))
+        near = (Vec3(c.x + r, c.y, z) if d < 1e-9 else
+                Vec3(c.x + (p.x - c.x) * (r / d), c.y + (p.y - c.y) * (r / d), z))
+    gap = p.dist(near)
+    if gap > sonar.range:
+        return False, gap
+    if d <= r:
+        return True, gap
+    alpha = math.asin(min(1.0, r / d))
+    az = math.atan2(c.y - p.y, c.x - p.x)
+    if abs(wrap_angle(az - g.attitude.psi)) > 0.5 * sonar.horizontal_fov + alpha:
+        return False, gap
+    if ob.shape == "sphere":
+        el = math.atan2(p.z - c.z, p.hdist(c))
+        return abs(el - g.attitude.theta) <= 0.5 * sonar.vertical_fov + alpha, gap
+    el_top = math.atan2(p.z, d - r)
+    el_bot = math.atan2(p.z - depth_bound, d - r)
+    lo = g.attitude.theta - 0.5 * sonar.vertical_fov
+    hi = g.attitude.theta + 0.5 * sonar.vertical_fov
+    return max(el_bot, lo) <= min(el_top, hi), gap
+
+
+def floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def sonar_scenes(draw):
+    """A sphere or pillar, a vehicle anywhere in the water column out to six
+    radii from the body (often inside it), and a random attitude and sonar,
+    whose range is often close to, or within a micron of, the vehicle's
+    distance from the surface."""
+    depth = draw(floats(5.0, 100.0))
+    r = draw(floats(0.1, 20.0))
+    k = draw(st.one_of(st.just(0.0), floats(0.0, 1.0), floats(1.0, 6.0)))
+    phi = draw(floats(-math.pi, math.pi))
+    if draw(st.booleans()):
+        ob = Obstacle("sphere", r, Vec3(0.0, 0.0, draw(floats(0.0, depth))))
+        el = draw(floats(-0.5 * math.pi, 0.5 * math.pi))
+        z = ob.center.z + r * k * math.sin(el)
+        at = Vec3(r * k * math.cos(el) * math.cos(phi),
+                  r * k * math.cos(el) * math.sin(phi), min(depth, max(0.0, z)))
+    else:
+        ob = Obstacle("cylinder", r, Vec3(0.0, 0.0, 0.0))
+        at = Vec3(r * k * math.cos(phi), r * k * math.sin(phi), draw(floats(0.0, depth)))
+    gap = abs((at.dist(ob.center) if ob.shape == "sphere" else at.hdist(ob.center)) - r)
+    rng = draw(st.one_of(floats(1e-3, 150.0), floats(0.5, 2.0).map(lambda m: 1e-3 + m * gap),
+                         st.sampled_from((-1e-6, -1e-7, -1e-8, 1e-8, 1e-7, 1e-6))
+                         .map(lambda e: max(1e-3, gap + e))))
+    sonar = SonarModel(rng, draw(floats(0.1, 6.2)), draw(floats(0.02, 3.1)))
+    g = GliderState(at, Attitude(draw(floats(-math.pi, math.pi)),
+                                 draw(floats(-1.2, 1.2))), 0.3)
+    return ob, g, sonar, depth
+
+
+@settings(max_examples=500, deadline=None)
+@given(sonar_scenes())
+def test_range_gate_matches_the_nearest_surface_point(scene):
+    ob, g, sonar, depth = scene
+    seen, gap = nearest_point_in_view(ob, g, sonar, depth)
+    if abs(gap - sonar.range) > 1e-9:
+        assert in_sonar_view(ob, g, sonar, depth) == seen
 
 
 def test_extent_widens_the_vertical_wedge():

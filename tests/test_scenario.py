@@ -47,7 +47,8 @@ BAD = [
     ({"sawtooth": {"water_depth": 20, "depth_margin": 20}},
      ["sawtooth.depth_margin: must be below water_depth"]),
     ({"bounds": {"depth": 12}, "sawtooth": {"depth_margin": 12.5}},
-     ["sawtooth.depth_margin: must be below water_depth"]),
+     ["glider.max_depth: deeper than the domain",
+      "sawtooth.depth_margin: must be below water_depth"]),
     ({"sawtooth": {"water_depth": 0, "depth_margin": -1,
                    "arrival_radius": "near", "replan_cross_track": 0,
                    "literal_stride": 1, "teeth": 4}},
@@ -128,6 +129,14 @@ def test_keepout_checked_even_when_the_field_cannot_be_built():
     assert problems({"random_obstacles": {"speed": [2, 1], "keepout": "far"}}) == [
         "random_obstacles.speed: expected 0.0 <= low <= high",
         "random_obstacles.keepout: expected a number"]
+
+
+def test_glider_rated_deeper_than_the_domain_rejected():
+    assert problems({"bounds": {"depth": 12}, "glider": {"max_depth": 30}}) == [
+        "glider.max_depth: deeper than the domain"]
+    sc = scenario_from_dict({**BASE, "bounds": {"depth": 12},
+                             "glider": {"max_depth": 12}})
+    assert sc.glider.max_depth == sc.bounds.depth == 12
 
 
 def test_sphere_centre_depth_checked_against_the_domain():
