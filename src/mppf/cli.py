@@ -1,8 +1,9 @@
 """Command line front end: run, compare, validate.
 
 Exit codes for `run` (and `compare`, from its advanced-mode run):
-0 reached, 2 collision, 3 trapped, 4 step budget exhausted. Scenario
-validation problems, and a `--max-steps` below 1, exit 64.
+0 reached, 2 collision, 3 trapped, 4 step budget exhausted. Usage errors,
+scenario validation problems, a `--max-steps` below 1 and outputs that
+cannot be written exit 64.
 """
 
 from __future__ import annotations
@@ -18,6 +19,14 @@ from mppf.harness import EXIT_CODES, compare_modes, emit_outputs, run_scenario, 
 from mppf.scenario import load_scenario, materialize_obstacles
 
 EXIT_INVALID = 64
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line and exits 64, since 2 is the
+    collision code; the subcommand parsers inherit it."""
+
+    def error(self, message):
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
 def _add_common(p: argparse.ArgumentParser, with_mode: bool) -> None:
@@ -38,6 +47,11 @@ def _invalid(path: str, e: ScenarioError) -> int:
     return EXIT_INVALID
 
 
+def _cannot(verb: str, path, e: OSError) -> int:
+    print(f"cannot {verb} {path}: {e}", file=sys.stderr)
+    return EXIT_INVALID
+
+
 def _load(path: str):
     """Parse and check the file. Its obstacles are placed later, once per
     run, so an unplaceable random field surfaces from `run_scenario`."""
@@ -46,7 +60,7 @@ def _load(path: str):
     except ScenarioError as e:
         _invalid(path, e)
     except OSError as e:
-        print(f"cannot read {path}: {e}", file=sys.stderr)
+        _cannot("read", path, e)
     return None
 
 
@@ -70,7 +84,10 @@ def cmd_run(args) -> int:
     mode = args.mode or sc.mode
     seed = sc.seed if args.seed is None else args.seed
     out = args.out or f"runs/{sc.name}-{mode}-seed{seed}"
-    paths = emit_outputs(result, sc, out)
+    try:
+        paths = emit_outputs(result, sc, out)
+    except OSError as e:
+        return _cannot("write", out, e)
     _print_summary(f"{sc.name}:{mode}", summary_dict(result, sc))
     for name, path in paths.items():
         print(f"  {name}: {path}")
@@ -87,14 +104,17 @@ def cmd_compare(args) -> int:
         return _invalid(args.scenario, e)
     seed = sc.seed if args.seed is None else args.seed
     out = Path(args.out or f"runs/{sc.name}-compare-seed{seed}")
-    emit_outputs(cmp.baseline, sc, out / "baseline")
-    emit_outputs(cmp.advanced, sc, out / "advanced")
-    _print_summary("baseline", summary_dict(cmp.baseline, sc))
-    _print_summary("advanced", summary_dict(cmp.advanced, sc))
     deltas = {"d_time_cost": cmp.d_time_cost, "d_drift": cmp.d_drift,
               "baseline_status": cmp.baseline.status,
               "advanced_status": cmp.advanced.status}
-    (out / "compare.yaml").write_text(yaml.safe_dump(deltas, sort_keys=True))
+    try:
+        emit_outputs(cmp.baseline, sc, out / "baseline")
+        emit_outputs(cmp.advanced, sc, out / "advanced")
+        (out / "compare.yaml").write_text(yaml.safe_dump(deltas, sort_keys=True))
+    except OSError as e:
+        return _cannot("write", out, e)
+    _print_summary("baseline", summary_dict(cmp.baseline, sc))
+    _print_summary("advanced", summary_dict(cmp.advanced, sc))
     print(f"advanced - baseline: time {cmp.d_time_cost:+.1f}s, "
           f"drift {cmp.d_drift:+.3f}m")
     print(f"  compare: {out / 'compare.yaml'}")
@@ -117,7 +137,7 @@ def cmd_validate(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mppf",
         description="Underwater glider path planning simulator")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -39,11 +39,6 @@ class Vec3:
     def __mul__(self, k: float) -> "Vec3":
         return Vec3(self.x * k, self.y * k, self.z * k)
 
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Vec3":
-        return Vec3(-self.x, -self.y, -self.z)
-
     def dot(self, o: "Vec3") -> float:
         return self.x * o.x + self.y * o.y + self.z * o.z
 

@@ -7,12 +7,14 @@ mode adds a closing-velocity penalty against each point and a flow-alignment
 term that rewards riding the local current (or fighting it head-on, the two
 orientations a glider can hold) and penalizes nothing in between.
 
-The scalar functions here are the reference implementations. The batch
-evaluator in ``mppf._kernels`` repeats the identical operation sequence over
-the whole grid, so kernel results are bit-for-bit equal to composing the
-scalars; tests assert exact agreement. ``grid_potentials`` hands the kernel
-only the points within reach of the fan, since a point beyond its influence
-radius from every candidate adds nothing.
+The scalar functions here are the reference implementations;
+``total_potential`` adds attraction, every repulsion term, every closing
+term, then flow. The batch kernel in ``mppf._kernels`` scores each
+candidate-point pair once but adds in that order, so its scores are
+bit-for-bit equal to composing the scalars; tests assert exact agreement.
+``grid_potentials`` hands the kernel only the points within reach of the
+fan, since a point beyond its influence radius from every candidate adds
+nothing.
 """
 
 from __future__ import annotations
@@ -237,20 +239,19 @@ def select_goto(surface: SampleSurface, goal: Vec3,
     """
     grid = grid_potentials(surface, goal, points, flow, params, mode)
     att = surface.attitude
-    best = None
-    best_key = None
+    best = None  # (u, |dpsi|, |dtheta|, i) of the best candidate so far
     for i, c in enumerate(surface.candidates):
         if c.position.z < 0.0 or c.position.z > max_depth:
             continue
         u = grid[i]
-        if math.isinf(u):
-            continue
+        if math.isinf(u) or best is not None and u > best[0]:
+            continue  # a larger u never keys lower: no key to build
         key = (u, abs(angle_diff(c.psi, att.psi)), abs(c.theta - att.theta), i)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = c
+        if best is None or key < best:
+            best = key
     if best is None:
         raise NoFeasibleWaypoint(
             f"all {len(surface.candidates)} candidates infeasible at "
             f"({surface.center.x:.2f}, {surface.center.y:.2f}, {surface.center.z:.2f})")
-    return GotoCommand(best.position, best.psi, best.theta, best_key[0])
+    c = surface.candidates[best[3]]
+    return GotoCommand(c.position, c.psi, c.theta, best[0])

@@ -61,10 +61,6 @@ class WaypointPlan:
     def active_waypoint(self) -> Vec3:
         return self.waypoints[self.active_index]
 
-    @property
-    def goal(self) -> Vec3:
-        return self.waypoints[-1]
-
 
 def stride_length(params: SawtoothParams) -> float:
     """Horizontal length of one full tooth at the depth limit."""

@@ -281,9 +281,10 @@ def load_scenario(path) -> Scenario:
     """
     p = Path(path)
     try:
-        raw = yaml.safe_load(p.read_text())
+        raw = yaml.safe_load(p.read_bytes())
     except yaml.YAMLError as e:
-        raise ScenarioError([f"{p}: not parseable as YAML ({e})"]) from e
+        why = " ".join(str(e).split())  # one problem, one line
+        raise ScenarioError([f"{p}: not parseable as YAML ({why})"]) from e
     if not isinstance(raw, dict):
         raise ScenarioError([f"{p}: expected a mapping at the top level"])
     return _build(raw, raw.get("name", p.stem), require_version=True)

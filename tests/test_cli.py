@@ -2,6 +2,7 @@
 
 import math
 
+import pytest
 import yaml
 
 from mppf import cli, harness, scenario
@@ -138,6 +139,51 @@ def test_missing_file_reported(tmp_path, capsys):
     assert cli.main(["validate", "--scenario",
                      str(tmp_path / "absent.yaml")]) == 64
     assert capsys.readouterr().err
+
+
+def test_usage_errors_exit_64_in_one_line(tmp_path, capsys):
+    # argparse's own exit 2 would read as a collision
+    path = write(tmp_path, REACHES)
+    for prog, argv in (
+            ("mppf run", ["run", "--scenario", path, "--seed", "abc"]),
+            ("mppf run", ["run"]),
+            ("mppf compare", ["compare", "--scenario", path, "--max-steps", "x"]),
+            ("mppf validate", ["validate"]),
+            ("mppf", ["validate", "--scenario", path, "--mode", "advanced"]),
+            ("mppf", [])):
+        with pytest.raises(SystemExit) as e:
+            cli.main(argv)
+        assert e.value.code == 64, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"{prog}: error: ") and err.count("\n") == 1, err
+    with pytest.raises(SystemExit) as e:
+        cli.main(["run", "-h"])
+    assert e.value.code == 0
+    assert "--scenario" in capsys.readouterr().out
+
+
+def test_non_utf8_scenario_rejected_by_every_subcommand(tmp_path, capsys):
+    path = tmp_path / "cafe.yaml"
+    path.write_bytes(yaml.safe_dump(REACHES).encode() + b"name: caf\xe9\n")
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "o")],
+                 ["compare", "--out", str(tmp_path / "c")]):
+        assert cli.main(argv + ["--scenario", str(path)]) == 64
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == f"invalid scenario {path}:"
+        assert len(err) == 2 and "not parseable as YAML" in err[1], err
+    assert not (tmp_path / "o").exists() and not (tmp_path / "c").exists()
+
+
+def test_unwritable_out_reported_by_run_and_compare(tmp_path, capsys):
+    path = write(tmp_path, REACHES)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for command in ("run", "compare"):
+        assert cli.main([command, "--scenario", path, "--max-steps", "5",
+                         "--out", str(taken)]) == 64
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"cannot write {taken}: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 def test_unplaceable_random_field_rejected_by_every_subcommand(tmp_path, capsys):

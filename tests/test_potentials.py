@@ -167,7 +167,8 @@ def fan_cases(draw):
 @given(fan_cases())
 def test_point_filter_leaves_every_score_bit_identical(case):
     """grid_potentials hands the kernel only the points within reach of the
-    fan; scoring every point gives the same bits in both modes."""
+    fan; scoring every point gives the same bits in both modes. Each score
+    is also the scalar composition's, bit for bit, and +inf on a point."""
     surf, goal, points, flow = case
     n = len(surf.candidates)
     for mode in ("baseline", "advanced"):
@@ -178,6 +179,13 @@ def test_point_filter_leaves_every_score_bit_identical(case):
             PARAMS.flow_align_max, mode == "advanced", want)
         got = grid_potentials(surf, goal, points, flow, PARAMS, mode)
         assert [u.hex() for u in got] == [u.hex() for u in want]
+        for c, u in zip(surf.candidates, want):
+            if any((p.position - c.position).norm2() == 0.0 for p in points):
+                assert u == math.inf
+            else:
+                assert u.hex() == total_potential(
+                    c.position, c.velocity, goal, points, flow, PARAMS,
+                    mode).hex()
 
 
 # --- tie-breaking ----------------------------------------------------------
