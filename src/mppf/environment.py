@@ -45,7 +45,7 @@ class Obstacle:
 
 @dataclass(frozen=True, slots=True)
 class VortexFlow:
-    """Recirculating cell field, attenuating linearly to zero at max_depth."""
+    """Recirculating cell field, fading linearly to zero at max_depth; none below."""
 
     amplitude: float = 0.1
     cell_size: float = 50.0
@@ -146,12 +146,12 @@ class WorldState:
 
 
 def flow_velocity(flow: VortexFlow | None, p: Vec3) -> Vec3:
-    """Local flow at a point; zero without a field.
+    """Local flow at a point; zero without a field and below its max_depth.
 
     The horizontal components derive from a stream function, so the field
     is divergence-free, purely horizontal, and bounded by pi*A.
     """
-    if flow is None or flow.amplitude == 0.0:
+    if flow is None or flow.amplitude == 0.0 or p.z > flow.max_depth:
         return ZERO
     att = (flow.max_depth - p.z) / flow.max_depth
     kx = math.pi * p.x / flow.cell_size

@@ -46,8 +46,8 @@ RNG_NAME = "python-random-mt19937"
 class RandomObstacles:
     """Seeded generation block: ``count`` spheres, uniform in the ranges."""
 
-    count: int
-    radius_range: tuple[float, float]
+    count: int = 0
+    radius_range: tuple[float, float] = (0.5, 7.0)
     speed_range: tuple[float, float] = (0.0, 0.0)
     depth_range: tuple[float, float] | None = None
     keepout: float = 8.0  # clear water kept around start and goal
@@ -76,12 +76,12 @@ class Scenario:
 
 _TOP_KEYS = {"schema_version"} | {f.name for f in fields(Scenario)}
 
-NUM, INT, DEG, BOOL = "num", "int", "deg", "bool"
+NUM, INT, DEG, BOOL, RANGE = "num", "int", "deg", "bool", "range"
 
 # The parameter groups, one row per field: file key -> (dataclass field,
 # lowest, highest, kind). DEG fields are degrees in files and radians in
-# memory. Defaults are the dataclass defaults, except the few that _build
-# takes from other groups.
+# memory; a RANGE is [low, high], lowest <= low <= high. Defaults are the
+# dataclass defaults, except the few taken from other groups.
 GROUPS = {
     "bounds": {
         "x": ("x", 1.0, None, NUM),  # m
@@ -129,6 +129,14 @@ GROUPS = {
         "amplitude": ("amplitude", 0.0, None, NUM),  # m/s
         "cell_size": ("cell_size", 1e-6, None, NUM),  # m
         "max_depth": ("max_depth", 1e-6, None, NUM),  # m
+    },
+    "random_obstacles": {
+        "count": ("count", 0, None, INT),
+        "radius": ("radius_range", 1e-6, None, RANGE),  # m
+        "speed": ("speed_range", 0.0, None, RANGE),  # m/s
+        "depth": ("depth_range", 0.0, None, RANGE),  # m
+        "seed": ("seed", None, None, INT),
+        "keepout": ("keepout", 0.0, None, NUM),  # m
     },
 }
 
@@ -206,20 +214,25 @@ def _read_group(r: _Reader, key: str, default):
     """Parameter group ``key`` from the file over the fields of ``default``.
 
     Only fields present in the file are read and converted, so an absent
-    angle keeps its radian default exactly.
+    angle keeps its radian default exactly. A ``null`` keeps the default
+    only where that default is itself ``None``.
     """
     sec = r.section(key, GROUPS[key])
     values = {}
     for fkey, (field, lo, hi, kind) in GROUPS[key].items():
-        if fkey not in sec:
+        v = sec.get(fkey)
+        if v is None and (fkey not in sec or getattr(default, field) is None):
             continue
         if kind == BOOL:
-            if isinstance(sec[fkey], bool):
-                values[field] = sec[fkey]
+            if isinstance(v, bool):
+                values[field] = v
             else:
                 r.problems.append(f"{key}.{fkey}: expected true/false")
             continue
-        v = r.num(sec, key, fkey, None, lo, hi, integer=kind == INT)
+        if kind == RANGE:
+            v = _read_range(r, f"{key}.{fkey}", v, lo)
+        else:
+            v = r.num(sec, key, fkey, None, lo, hi, integer=kind == INT)
         if v is not None:
             values[field] = math.radians(v) if kind == DEG else v
     return replace(default, **values)
@@ -229,7 +242,8 @@ def _dump_group(key: str, group) -> dict:
     out = {}
     for fkey, (field, _, _, kind) in GROUPS[key].items():
         v = getattr(group, field)
-        out[fkey] = math.degrees(v) if kind == DEG else v
+        out[fkey] = (math.degrees(v) if kind == DEG
+                     else list(v) if kind == RANGE and v is not None else v)
     return out
 
 
@@ -266,11 +280,6 @@ def _read_obstacle(reader: _Reader, idx: int, raw, bounds: Bounds) -> Obstacle |
     return Obstacle(shape, radius, center, vel)
 
 
-def scenario_from_dict(data: dict, name: str = "scenario",
-                       require_version: bool = False) -> Scenario:
-    return _build(data, name, require_version)
-
-
 def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file.
 
@@ -285,12 +294,18 @@ def load_scenario(path) -> Scenario:
     except yaml.YAMLError as e:
         why = " ".join(str(e).split())  # one problem, one line
         raise ScenarioError([f"{p}: not parseable as YAML ({why})"]) from e
+    except RecursionError as e:
+        raise ScenarioError(
+            [f"{p}: not parseable as YAML (nested too deeply)"]) from e
     if not isinstance(raw, dict):
         raise ScenarioError([f"{p}: expected a mapping at the top level"])
-    return _build(raw, raw.get("name", p.stem), require_version=True)
+    return scenario_from_dict(raw, p.stem, require_version=True)
 
 
-def _build(data, default_name: str, require_version: bool) -> Scenario:
+def scenario_from_dict(data: dict, name: str = "scenario",
+                       require_version: bool = False) -> Scenario:
+    """Validate parsed data, named ``name`` unless it names itself; raises
+    ScenarioError listing every offending field."""
     if not isinstance(data, dict):
         raise ScenarioError(["scenario: expected a mapping"])
     r = _Reader(data)
@@ -299,17 +314,17 @@ def _build(data, default_name: str, require_version: bool) -> Scenario:
     if version is None:
         if require_version:
             r.problems.append("schema_version: missing (expected 1)")
-    elif version != SCHEMA_VERSION:
+    elif isinstance(version, bool) or version != SCHEMA_VERSION:
         r.problems.append(f"schema_version: unsupported value {version!r}")
 
     for k in data:
         if k not in _TOP_KEYS:
             r.problems.append(f"{k}: unknown field")
 
-    name = data.get("name", default_name)
-    if not isinstance(name, str) or not name:
+    title = data.get("name", name)
+    if not isinstance(title, str) or not title:
         r.problems.append("name: expected a non-empty string")
-        name = default_name
+        title = name
 
     mode = data.get("mode", "advanced")
     if mode not in MODES:
@@ -363,41 +378,22 @@ def _build(data, default_name: str, require_version: bool) -> Scenario:
         if ob is not None:
             obstacles.append(ob)
 
-    rand = None
-    rb = r.section("random_obstacles", {"count", "radius", "speed", "depth",
-                                        "keepout", "seed"})
-    if rb:
-        count = r.num(rb, "random_obstacles", "count", 0, lo=0, integer=True)
-        radius = _read_range(r, rb, "random_obstacles.radius", "radius",
-                             (0.5, 7.0), lo=1e-6)
-        speed = _read_range(r, rb, "random_obstacles.speed", "speed",
-                            (0.0, 0.0), lo=0.0)
-        depth = None
-        if rb.get("depth") is not None:
-            depth = _read_range(r, rb, "random_obstacles.depth", "depth",
-                                (0.0, bounds.depth), lo=0.0)
-            if depth is not None and depth[1] > bounds.depth:
-                r.problems.append("random_obstacles.depth: exceeds the domain depth")
-        rsd = rb.get("seed")
-        if rsd is not None and (isinstance(rsd, bool) or not isinstance(rsd, int)):
-            r.problems.append("random_obstacles.seed: expected an integer")
-            rsd = None
-        keepout = r.num(rb, "random_obstacles", "keepout", 8.0, lo=0.0)
-        if radius is not None and speed is not None:
-            rand = RandomObstacles(count, radius, speed, depth, keepout, rsd)
+    rand = _read_group(r, "random_obstacles", RandomObstacles())
+    if rand.depth_range is not None and rand.depth_range[1] > bounds.depth:
+        r.problems.append("random_obstacles.depth: exceeds the domain depth")
+    if not data.get("random_obstacles"):
+        rand = None
 
     if r.problems:
         raise ScenarioError(r.problems)
-    return Scenario(name=name, start=start, goal=goal, mode=mode,
+    return Scenario(name=title, start=start, goal=goal, mode=mode,
                     seed=int(seed), dt=dt, max_steps=int(max_steps),
                     glider=glider, sawtooth=sawtooth, potentials=potentials,
                     escape=escape, sonar=sonar, bounds=bounds, flow=flow,
                     obstacles=tuple(obstacles), random_obstacles=rand)
 
 
-def _read_range(r: _Reader, sec: dict, name: str, key: str,
-                default: tuple[float, float], lo: float) -> tuple[float, float] | None:
-    v = sec.get(key, list(default))
+def _read_range(r: _Reader, name: str, v, lo: float) -> tuple[float, float] | None:
     if (not isinstance(v, (list, tuple)) or len(v) != 2
             or not all(map(_is_number, v))):
         r.problems.append(f"{name}: expected [low, high]")
@@ -449,7 +445,7 @@ def materialize_obstacles(sc: Scenario, seed: int) -> tuple[Obstacle, ...]:
 
 def scenario_to_dict(sc: Scenario) -> dict:
     """Fully resolved scenario as plain data (angles in degrees)."""
-    d = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "name": sc.name,
         "mode": sc.mode,
@@ -467,17 +463,6 @@ def scenario_to_dict(sc: Scenario) -> dict:
             for ob in sc.obstacles
         ],
     }
-    if sc.random_obstacles is not None:
-        rb = sc.random_obstacles
-        d["random_obstacles"] = {
-            "count": rb.count,
-            "radius": list(rb.radius_range),
-            "speed": list(rb.speed_range),
-            "depth": list(rb.depth_range) if rb.depth_range else None,
-            "keepout": rb.keepout,
-            "seed": rb.seed,
-        }
-    return d
 
 
 def scenario_hash(sc: Scenario) -> str:

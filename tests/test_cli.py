@@ -174,6 +174,19 @@ def test_non_utf8_scenario_rejected_by_every_subcommand(tmp_path, capsys):
     assert not (tmp_path / "o").exists() and not (tmp_path / "c").exists()
 
 
+def test_deeply_nested_yaml_rejected_by_every_subcommand(tmp_path, capsys):
+    path = tmp_path / "nested.yaml"
+    path.write_text(yaml.safe_dump(REACHES)
+                    + "obstacles: " + "[" * 3000 + "]" * 3000 + "\n")
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "o")],
+                 ["compare", "--out", str(tmp_path / "c")]):
+        assert cli.main(argv + ["--scenario", str(path)]) == 64
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"invalid scenario {path}:",
+                       f"  - {path}: not parseable as YAML (nested too deeply)"]
+    assert not (tmp_path / "o").exists() and not (tmp_path / "c").exists()
+
+
 def test_unwritable_out_reported_by_run_and_compare(tmp_path, capsys):
     path = write(tmp_path, REACHES)
     taken = tmp_path / "taken"

@@ -329,6 +329,20 @@ def test_flow_attenuates_to_zero_at_max_depth():
     assert flow_velocity(None, p_srf) == ZERO
 
 
+def test_no_flow_below_its_max_depth():
+    # a file may set the attenuation depth shallower than the glider dives
+    fl = VortexFlow(amplitude=0.1, cell_size=50.0, max_depth=5.0)
+    assert flow_velocity(fl, Vec3(12.5, 25.0, 30.0)) == ZERO
+    assert flow_velocity(fl, Vec3(12.5, 25.0, math.nextafter(5.0, 6.0))) == ZERO
+    rng = random.Random(11)
+    for _ in range(200):
+        p = Vec3(rng.uniform(0, 100), rng.uniform(0, 100), rng.uniform(0, 50))
+        assert flow_velocity(fl, p).norm() <= math.pi * 0.1 + 1e-12
+    # at the depth itself the formula still runs: its -0.0 is kept
+    at = flow_velocity(fl, Vec3(12.5, 25.0, 5.0))
+    assert at == ZERO and math.copysign(1.0, at.x) == -1.0
+
+
 def test_flow_speed_bounded_by_pi_amplitude():
     fl = VortexFlow(amplitude=0.1, cell_size=100.0)
     rng = random.Random(10)

@@ -92,8 +92,8 @@ BAD = [
       "random_obstacles.count: must be >= 0",
       "random_obstacles.radius: expected 1e-06 <= low <= high",
       "random_obstacles.speed: expected [low, high]",
-      "random_obstacles.depth: exceeds the domain depth",
-      "random_obstacles.seed: expected an integer"]),
+      "random_obstacles.seed: expected an integer",
+      "random_obstacles.depth: exceeds the domain depth"]),
     ({"seed": 1.5, "dt": 0, "max_steps": 0, "mode": "hybrid", "name": "",
       "extra": 1, "schema_version": 2},
      ["schema_version: unsupported value 2", "extra: unknown field",
@@ -131,6 +131,38 @@ def test_keepout_checked_even_when_the_field_cannot_be_built():
         "random_obstacles.keepout: expected a number"]
 
 
+def test_random_group_must_be_a_mapping():
+    for value in ([], 5):
+        assert problems({"random_obstacles": value}) == [
+            "random_obstacles: expected a mapping"]
+    assert scenario_from_dict({**BASE, "random_obstacles": {}}
+                              ).random_obstacles is None
+
+
+def test_null_keeps_only_a_null_default():
+    assert problems({"bounds": {"x": None}}) == ["bounds.x: expected a number"]
+    assert problems({"random_obstacles": {"count": None, "radius": None}}) == [
+        "random_obstacles.count: expected a number",
+        "random_obstacles.radius: expected [low, high]"]
+    rand = scenario_from_dict({**BASE, "random_obstacles": {
+        "count": 2, "depth": None, "seed": None}}).random_obstacles
+    assert (rand.count, rand.depth_range, rand.seed) == (2, None, None)
+
+
+def test_random_seed_reads_like_every_integer_field():
+    assert problems({"random_obstacles": {"seed": True}}) == [
+        "random_obstacles.seed: expected a number"]
+    rand = scenario_from_dict({**BASE, "random_obstacles": {"seed": 3.0}}
+                              ).random_obstacles
+    assert rand.seed == 3 and isinstance(rand.seed, int)
+
+
+def test_boolean_schema_version_rejected():
+    # True == 1 in Python, so the version check must rule out bools first
+    assert problems({"schema_version": True}) == [
+        "schema_version: unsupported value True"]
+
+
 def test_glider_rated_deeper_than_the_domain_rejected():
     assert problems({"bounds": {"depth": 12}, "glider": {"max_depth": 30}}) == [
         "glider.max_depth: deeper than the domain"]
@@ -166,15 +198,22 @@ def test_literal_stride_accepts_only_booleans():
 
 # a random field without a depth range resolves to ``depth: null``
 NO_DEPTH_RANGE = {**BASE, "random_obstacles": {"count": 4, "radius": [1, 2]}}
+ALL_RANDOM = {**BASE, "random_obstacles": {
+    "count": 3, "radius": [1, 2], "speed": [0, 0.3], "depth": [0, 10],
+    "keepout": 4, "seed": 7}}
+# the random dicts pin their hashes, so the random group's dump cannot drift
+ROUND_TRIPS = [pytest.param(f, None, id=f.stem) for f in FILES] + [
+    pytest.param(NO_DEPTH_RANGE, "e88b226ddd80049c", id="no_depth_range"),
+    pytest.param(ALL_RANDOM, "4bae226ef4f0b76f", id="all_random")]
 
 
-@pytest.mark.parametrize("source", FILES + [NO_DEPTH_RANGE],
-                         ids=[f.stem for f in FILES] + ["no_depth_range"])
-def test_resolved_dict_round_trips(source):
+@pytest.mark.parametrize("source,pinned", ROUND_TRIPS)
+def test_resolved_dict_round_trips(source, pinned):
     sc = load_scenario(source) if isinstance(source, Path) else scenario_from_dict(source)
     back = scenario_from_dict(scenario_to_dict(sc), require_version=True)
     assert back == sc
     assert scenario_hash(back) == scenario_hash(sc)
+    assert pinned is None or scenario_hash(sc) == pinned
 
 
 def test_absent_fields_keep_the_dataclass_defaults():
