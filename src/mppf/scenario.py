@@ -23,6 +23,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import yaml
+from yaml.composer import Composer
 
 from mppf.environment import (
     CYLINDER,
@@ -40,6 +41,21 @@ from mppf.sawtooth import SawtoothParams
 
 SCHEMA_VERSION = 1
 RNG_NAME = "python-random-mt19937"
+
+if yaml.__with_libyaml__:
+    class _Loader(Composer, yaml.CSafeLoader):
+        """libyaml's C scanner and parser under PyYAML's Python composer.
+
+        libyaml's own composer recurses in C, so a deeply nested document
+        overflows the C stack and kills the process; the Python composer
+        raises RecursionError at the same depth as the pure SafeLoader.
+        """
+
+        def __init__(self, stream):
+            yaml.CSafeLoader.__init__(self, stream)
+            Composer.__init__(self)
+else:
+    _Loader = yaml.SafeLoader
 
 
 @dataclass(frozen=True)
@@ -131,7 +147,7 @@ GROUPS = {
         "max_depth": ("max_depth", 1e-6, None, NUM),  # m
     },
     "random_obstacles": {
-        "count": ("count", 0, None, INT),
+        "count": ("count", 0, 10_000, INT),  # placed one by one
         "radius": ("radius_range", 1e-6, None, RANGE),  # m
         "speed": ("speed_range", 0.0, None, RANGE),  # m/s
         "depth": ("depth_range", 0.0, None, RANGE),  # m
@@ -290,7 +306,7 @@ def load_scenario(path) -> Scenario:
     """
     p = Path(path)
     try:
-        raw = yaml.safe_load(p.read_bytes())
+        raw = yaml.load(p.read_bytes(), Loader=_Loader)
     except yaml.YAMLError as e:
         why = " ".join(str(e).split())  # one problem, one line
         raise ScenarioError([f"{p}: not parseable as YAML ({why})"]) from e

@@ -62,6 +62,23 @@ def top_view_svg(samples, obstacles: Sequence[Obstacle], bounds: Bounds,
     return "\n".join(parts) + "\n"
 
 
+def _nearest_samples(samples, obstacles: Sequence[Obstacle]) -> list[int]:
+    """Per obstacle, the index of the first sample horizontally nearest it.
+
+    The distances are the same ``sqrt`` values ``Vec3.hdist`` returns, so
+    ties break on the same first index. Squared distances would not do:
+    two different squares can have one root, and then a later sample wins.
+    """
+    xy = [(smp.position.x, smp.position.y) for smp in samples]
+    nearest = []
+    for ob in obstacles:
+        cx, cy = ob.center.x, ob.center.y
+        d = [math.sqrt((x - cx) * (x - cx) + (y - cy) * (y - cy))
+             for x, y in xy]
+        nearest.append(d.index(min(d)))
+    return nearest
+
+
 def profile_view_svg(samples, obstacles: Sequence[Obstacle],
                      bounds: Bounds) -> str:
     """Depth against horizontal arc length; depth grows down the page.
@@ -79,9 +96,7 @@ def profile_view_svg(samples, obstacles: Sequence[Obstacle],
     parts.append(f'<rect x="0" y="0" width="{_fmt(total)}" '
                  f'height="{_fmt(bounds.depth)}" fill="#f7fafc" stroke="#888" '
                  f'stroke-width="0.3"/>')
-    for ob in obstacles:
-        near = min(range(len(samples)),
-                   key=lambda i: samples[i].position.hdist(ob.center))
+    for ob, near in zip(obstacles, _nearest_samples(samples, obstacles)):
         s_at = arcs[near]
         if ob.shape == SPHERE:
             parts.append(f'<circle class="obstacle" cx="{_fmt(s_at)}" '

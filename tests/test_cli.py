@@ -1,6 +1,10 @@
 """Command-line entry points and their exit codes."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -185,6 +189,54 @@ def test_deeply_nested_yaml_rejected_by_every_subcommand(tmp_path, capsys):
         assert err == [f"invalid scenario {path}:",
                        f"  - {path}: not parseable as YAML (nested too deeply)"]
     assert not (tmp_path / "o").exists() and not (tmp_path / "c").exists()
+
+
+def test_deeply_nested_yaml_rejected_by_the_fallback_loader(tmp_path, capsys,
+                                                            monkeypatch):
+    # the loader that runs where PyYAML was built without libyaml
+    monkeypatch.setattr(scenario, "_Loader", yaml.SafeLoader)
+    test_deeply_nested_yaml_rejected_by_every_subcommand(tmp_path, capsys)
+
+
+@pytest.mark.parametrize("loader", [scenario._Loader, yaml.SafeLoader],
+                         ids=["default", "pure"])
+def test_deeply_nested_schema_version_rejected(tmp_path, capsys, monkeypatch,
+                                               loader):
+    # parsed, it would reach the version check's repr and recurse there
+    monkeypatch.setattr(scenario, "_Loader", loader)
+    path = tmp_path / "nested.yaml"
+    rest = {k: v for k, v in REACHES.items() if k != "schema_version"}
+    path.write_text(yaml.safe_dump(rest)
+                    + "schema_version: " + "[" * 3000 + "]" * 3000 + "\n")
+    assert cli.main(["validate", "--scenario", str(path)]) == 64
+    assert capsys.readouterr().err.splitlines() == [
+        f"invalid scenario {path}:",
+        f"  - {path}: not parseable as YAML (nested too deeply)"]
+
+
+# In a child process, so that a composer recursing on the C stack kills
+# the child with a signal instead of the test run.
+CHILD = """
+import sys, yaml
+from mppf import cli, scenario
+if sys.argv[2] == "pure":
+    scenario._Loader = yaml.SafeLoader
+sys.exit(cli.main(["validate", "--scenario", sys.argv[1]]))
+"""
+
+
+@pytest.mark.parametrize("loader", ["default", "pure"])
+def test_hundred_thousand_deep_yaml_exits_64_in_one_line(tmp_path, loader):
+    path = tmp_path / "nested.yaml"
+    path.write_text(yaml.safe_dump(REACHES)
+                    + "obstacles: " + "[" * 100_000 + "]" * 100_000 + "\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-c", CHILD, str(path), loader],
+                           capture_output=True, text=True, env=env, timeout=120)
+    assert child.returncode == 64, child.stderr[-2000:]
+    assert child.stderr.splitlines() == [
+        f"invalid scenario {path}:",
+        f"  - {path}: not parseable as YAML (nested too deeply)"]
 
 
 def test_unwritable_out_reported_by_run_and_compare(tmp_path, capsys):

@@ -4,9 +4,11 @@ import math
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mppf import scenario
 from mppf.environment import Bounds, SonarModel, VortexFlow
 from mppf.errors import ScenarioError
 from mppf.escape import EscapeConfig
@@ -139,6 +141,13 @@ def test_random_group_must_be_a_mapping():
                               ).random_obstacles is None
 
 
+def test_random_count_is_bounded():
+    assert problems({"random_obstacles": {"count": 10_001}}) == [
+        "random_obstacles.count: must be <= 10000"]
+    assert scenario_from_dict({**BASE, "random_obstacles": {"count": 10_000}}
+                              ).random_obstacles.count == 10_000
+
+
 def test_null_keeps_only_a_null_default():
     assert problems({"bounds": {"x": None}}) == ["bounds.x: expected a number"]
     assert problems({"random_obstacles": {"count": None, "radius": None}}) == [
@@ -225,6 +234,22 @@ def test_absent_fields_keep_the_dataclass_defaults():
     assert flow == VortexFlow(0.2, 50.0, 50.0)
     assert scenario_from_dict({**BASE, "glider": {"max_glide_deg": 30}}
                               ).glider.max_glide_angle == math.radians(30.0)
+
+
+def test_libyaml_parses_when_pyyaml_has_it():
+    assert issubclass(scenario._Loader, yaml.CSafeLoader) == yaml.__with_libyaml__
+
+
+@pytest.mark.parametrize("path", FILES, ids=[f.stem for f in FILES])
+def test_both_loaders_read_the_same_scenario(path, monkeypatch):
+    raw = path.read_bytes()
+    fast = yaml.load(raw, Loader=scenario._Loader)
+    pure = yaml.load(raw, Loader=yaml.SafeLoader)
+    assert fast == pure and repr(fast) == repr(pure)  # repr tells 1 from 1.0
+    sc = load_scenario(path)
+    monkeypatch.setattr(scenario, "_Loader", yaml.SafeLoader)
+    pure_sc = load_scenario(path)
+    assert pure_sc == sc and scenario_hash(pure_sc) == scenario_hash(sc)
 
 
 # --- non-finite numbers -----------------------------------------------------
