@@ -9,8 +9,8 @@ order of ``mppf.potentials.total_potential``, so each score is bit-for-bit
 equal to composing the scalars (tests assert exact equality).
 
 The kernel reads each ``Candidate``'s position and velocity, each
-``ObstaclePoint``'s position, velocity and influence radius, and the flow
-``Vec3`` as they are, and writes one score per candidate into ``out``.
+``ObstaclePoint``'s position, velocity and influence radius, the flow
+``Vec3`` and the ``PotentialParams`` gains, and returns a list of scores.
 
 It scores every candidate x point pair it is given. ``grid_potentials``
 passes only the points within reach of the fan (influence + fan reach +
@@ -23,13 +23,15 @@ from math import acos, inf, pi, sqrt
 BACKEND = "pure"  # the only kernel; named in benchmark reports
 
 
-def total_potential_grid(n, candidates, gx, gy, gz, flow, m, points,
-                         xi, eta, tau, kappa, align_max, advanced, out):
+def total_potential_grid(n, candidates, gx, gy, gz, flow, m, points, params, advanced):
     """``n`` and ``m`` are the counts of candidates and points; the loops
     walk the sequences, and the mission benchmark reads the counts."""
+    xi, eta, tau = params.xi, params.eta, params.tau
+    kappa, align_max = params.kappa, params.flow_align_max
     fx, fy, fz = flow.x, flow.y, flow.z
     fn = sqrt(fx * fx + fy * fy + fz * fz)
-    for i, cand in enumerate(candidates):
+    out = []
+    for cand in candidates:
         cp = cand.position
         cx, cy, cz = cp.x, cp.y, cp.z
         cv = cand.velocity
@@ -40,7 +42,6 @@ def total_potential_grid(n, candidates, gx, gy, gz, flow, m, points,
         dg2 = dgx * dgx + dgy * dgy + dgz * dgz
         u = 0.5 * xi * dg2
         closing = []
-        out[i] = inf
         for p in points:
             op = p.position
             rx = op.x - cx
@@ -48,6 +49,7 @@ def total_potential_grid(n, candidates, gx, gy, gz, flow, m, points,
             rz = op.z - cz
             do2 = rx * rx + ry * ry + rz * rz
             if do2 == 0.0:
+                u = inf
                 break
             d_o = sqrt(do2)
             dtj = p.influence
@@ -84,4 +86,5 @@ def total_potential_grid(n, candidates, gx, gy, gz, flow, m, points,
                         sy = fy + vy
                         sz = fz + vz
                         u += 0.5 * kappa * (sx * sx + sy * sy + sz * sz)
-            out[i] = u
+        out.append(u)
+    return out

@@ -77,9 +77,9 @@ class ObstacleIndex:
     around the point, where pad is the largest static radius plus 1 m to
     absorb rounding. It walks that square's cells or, when fewer cells are
     occupied, just the occupied ones, so an empty field costs nothing.
-    Obstacles move only when their velocity is nonzero, and they keep it
-    nonzero (walls only flip its sign), so the grid stays exact for a whole
-    run. Callers apply their exact test to the candidates.
+    Obstacles move only when their velocity is nonzero and keep it nonzero
+    (walls only flip its sign), so the grid stays exact for a whole run and
+    advance_world advances only `moving`. Callers apply their exact test.
     """
 
     __slots__ = ("cell", "pad", "cells", "moving")
@@ -266,13 +266,13 @@ def visible_obstacles(world: WorldState, sonar: SonarModel) -> list[int]:
             if i not in tracked and in_sonar_view(obstacles[i], g, sonar, depth)]
 
 
-def obstacles_within(world: WorldState, indices, reach: float) -> list[int]:
-    """Sorted members of `indices` whose surface lies within `reach` of the
-    vehicle; only the index's candidates within reach are tested."""
+def obstacles_within(world: WorldState, reach: float) -> list[int]:
+    """Sorted members of `world.tracked` whose surface lies within `reach`
+    of the vehicle; only the index's candidates within reach are tested."""
     p = world.glider.position
-    obstacles = world.obstacles
+    obstacles, tracked = world.obstacles, world.tracked
     return [i for i in world.index.near(p, reach)
-            if i in indices and surface_distance(obstacles[i], p) <= reach]
+            if i in tracked and surface_distance(obstacles[i], p) <= reach]
 
 
 def surface_points(world: WorldState, indices, sonar: SonarModel) -> list[ObstaclePoint]:
@@ -294,17 +294,17 @@ def surface_points(world: WorldState, indices, sonar: SonarModel) -> list[Obstac
 
 
 def _advance_obstacle(ob: Obstacle, bounds: Bounds, dt: float) -> Obstacle:
-    if ob.velocity == ZERO:
-        return ob
-    cx, vx = _reflect(ob.center.x + ob.velocity.x * dt, ob.velocity.x, 0.0, bounds.x)
-    cy, vy = _reflect(ob.center.y + ob.velocity.y * dt, ob.velocity.y, 0.0, bounds.y)
-    cz, vz = _reflect(ob.center.z + ob.velocity.z * dt, ob.velocity.z, 0.0, bounds.depth)
-    return replace(ob, center=Vec3(cx, cy, cz), velocity=Vec3(vx, vy, vz))
+    """One drift step of a moving sphere, reflecting off the domain walls."""
+    c, v = ob.center, ob.velocity
+    cx, vx = _reflect(c.x + v.x * dt, v.x, bounds.x)
+    cy, vy = _reflect(c.y + v.y * dt, v.y, bounds.y)
+    cz, vz = _reflect(c.z + v.z * dt, v.z, bounds.depth)
+    return Obstacle(ob.shape, ob.radius, Vec3(cx, cy, cz), Vec3(vx, vy, vz))
 
 
-def _reflect(c: float, v: float, lo: float, hi: float) -> tuple[float, float]:
-    if c < lo:
-        return 2.0 * lo - c, -v
+def _reflect(c: float, v: float, hi: float) -> tuple[float, float]:
+    if c < 0.0:
+        return -c, -v
     if c > hi:
         return 2.0 * hi - c, -v
     return c, v

@@ -165,7 +165,7 @@ def run_scenario(scenario: Scenario, *, mode: str | None = None,
         seen = visible_obstacles(world, scenario.sonar)
         if seen:
             world = replace(world, tracked=world.tracked.union(seen))
-        near = obstacles_within(world, world.tracked, cull)
+        near = obstacles_within(world, cull)
         points = surface_points(world, near, scenario.sonar)
         flow_here = flow_velocity(world.flow, g.position)
         in_cz = esc.obstacles_in_critical_zone(points, g.position,

@@ -20,7 +20,6 @@ nothing.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -185,8 +184,8 @@ def total_potential(position: Vec3, velocity: Vec3, goal: Vec3,
 
 def grid_potentials(surface: SampleSurface, goal: Vec3,
                     points: Sequence[ObstaclePoint], flow: Vec3,
-                    params: PotentialParams, mode: str) -> array:
-    """Evaluate total_potential over the whole surface via the batch kernel.
+                    params: PotentialParams, mode: str) -> list[float]:
+    """List of total_potential per candidate in grid order, via the kernel.
 
     Candidates coincident with an obstacle sample point come back +inf.
     The kernel receives only the points within influence + surface.reach
@@ -212,13 +211,9 @@ def grid_potentials(surface: SampleSurface, goal: Vec3,
             continue
         near.append(p)
     cands = surface.candidates
-    n = len(cands)
-    out = array("d", bytes(8 * n))
-    _kernels.total_potential_grid(
-        n, cands, goal.x, goal.y, goal.z, flow, len(near), near,
-        params.xi, params.eta, params.tau, params.kappa,
-        params.flow_align_max, mode == "advanced", out)
-    return out
+    return _kernels.total_potential_grid(
+        len(cands), cands, goal.x, goal.y, goal.z, flow, len(near), near,
+        params, mode == "advanced")
 
 
 def select_goto(surface: SampleSurface, goal: Vec3,
@@ -227,10 +222,10 @@ def select_goto(surface: SampleSurface, goal: Vec3,
                 max_depth: float) -> GotoCommand:
     """Pick the feasible candidate with the lowest total potential.
 
-    Feasible means depth within [0, max_depth] and not coincident with an
-    obstacle sample point. Exact potential ties go to the candidate with
-    the smallest heading change, then the smallest glide-angle change,
-    then grid order, so selection is fully deterministic.
+    Feasible means depth within [0, max_depth] and a finite score in the
+    list grid_potentials returns (+inf on a sample point). Exact potential
+    ties go to the smallest heading change, then the smallest glide-angle
+    change, then grid order, so selection is fully deterministic.
 
     Raises
     ------

@@ -275,9 +275,10 @@ def _read_obstacle(reader: _Reader, idx: int, raw, bounds: Bounds) -> Obstacle |
     if shape not in (SPHERE, CYLINDER):
         reader.problems.append(f"{name}.shape: must be sphere or cylinder")
         return None
-    radius = reader.num(raw, name, "radius", 0.0, lo=0.0)
-    if radius <= 0.0:
-        reader.problems.append(f"{name}.radius: must be positive")
+    radius = reader.num(raw, name, "radius", None)  # None: a problem is listed
+    if radius is None or radius <= 0.0:
+        if radius is not None:
+            reader.problems.append(f"{name}.radius: must be positive")
         return None
     center = reader.vec(raw, f"{name}.center", "center",
                         dims=2 if shape == CYLINDER else 3)

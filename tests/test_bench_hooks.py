@@ -40,6 +40,12 @@ def test_select_goto_keeps_the_parameter_names_the_probe_binds():
         "surface", "goal", "points", "flow", "params", "mode", "max_depth"]
 
 
+def test_kernel_keeps_the_leading_parameters_the_probe_reads():
+    # the probe multiplies args[0] by args[6]; args[7] is the points scored
+    assert list(inspect.signature(_kernels.total_potential_grid).parameters)[:8] == [
+        "n", "candidates", "gx", "gy", "gz", "flow", "m", "points"]
+
+
 def test_kernel_args_carry_the_counts_the_probe_multiplies(monkeypatch):
     surf = build_sample_surface(
         GliderState(Vec3(50.0, 50.0, 10.0), Attitude(0.3, -0.2), 0.5),
@@ -53,13 +59,16 @@ def test_kernel_args_carry_the_counts_the_probe_multiplies(monkeypatch):
     kernel = _kernels.total_potential_grid
 
     def spy(*args):
-        seen.append(args)
-        return kernel(*args)
+        out = kernel(*args)
+        seen.append((args, out))
+        return out
 
     monkeypatch.setattr(_kernels, "total_potential_grid", spy)
-    grid_potentials(surf, Vec3(90.0, 90.0, 5.0), points, Vec3(0.1, 0.0, 0.0),
-                    PotentialParams(), "advanced")
-    (args,) = seen
+    grid = grid_potentials(surf, Vec3(90.0, 90.0, 5.0), points,
+                           Vec3(0.1, 0.0, 0.0), PotentialParams(), "advanced")
+    ((args, out),) = seen
+    # one score per candidate, returned as grid_potentials' own result
+    assert out is grid and len(out) == len(args[1]) == len(surf.candidates)
     assert args[0] == len(surf.candidates) == 25
     # the probe's pairs count, args[0] * args[6], is the pairs scored
     assert args[6] == len(args[7]) == 7

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mppf import environment
 from mppf.environment import (
     Bounds,
     Obstacle,
@@ -14,6 +15,7 @@ from mppf.environment import (
     SonarModel,
     VortexFlow,
     WorldState,
+    _advance_obstacle,
     advance_world,
     flow_velocity,
     glider_clearance,
@@ -287,6 +289,64 @@ def test_obstacle_reflects_at_bounds():
     # overshoot of 0.5 mirrors back from the wall; velocity flips
     assert nxt.obstacles[0].center.x == pytest.approx(99.5)
     assert nxt.obstacles[0].velocity.x == -1.0
+
+
+ADVANCE_BOUNDS = Bounds(100.0, 80.0, 50.0)
+# (start, velocity, dt) along one axis, and which wall the drift ends at;
+# the on-wall rows land exactly on 0 or the bound and do not reflect
+WALL_ROWS = [
+    ("x", 0.3, -0.7, 1.3, "below"), ("x", 99.9, 0.7, 1.3, "above"),
+    ("x", 0.5, -0.25, 2.0, "on"), ("x", 99.5, 0.25, 2.0, "on"),
+    ("y", 0.1, -0.3, 0.9, "below"), ("y", 79.7, 0.45, 1.1, "above"),
+    ("y", 0.75, -0.375, 2.0, "on"), ("y", 79.5, 0.125, 4.0, "on"),
+    ("z", 0.2, -0.15, 3.0, "below"), ("z", 49.95, 0.1, 0.7, "above"),
+    ("z", 1.0, -0.5, 2.0, "on"), ("z", 49.0, 0.5, 2.0, "on"),
+]
+
+
+@pytest.mark.parametrize("axis,c0,v,dt,wall", WALL_ROWS)
+def test_advance_reflects_at_each_wall_by_bits(axis, c0, v, dt, wall):
+    """Past a wall the center mirrors to -c or 2*hi - c of the drifted
+    coordinate c and the velocity component flips; on a wall it stays."""
+    k = "xyz".index(axis)
+    hi = (ADVANCE_BOUNDS.x, ADVANCE_BOUNDS.y, ADVANCE_BOUNDS.depth)[k]
+    center, vel = [50.0, 40.0, 25.0], [0.0, 0.0, 0.0]
+    center[k], vel[k] = c0, v
+    ob = Obstacle("sphere", 1.5, Vec3(*center), Vec3(*vel))
+    nxt = _advance_obstacle(ob, ADVANCE_BOUNDS, dt)
+    c = c0 + v * dt
+    if wall == "on":
+        assert c in (0.0, hi)
+    assert (c < 0.0, c > hi) == (wall == "below", wall == "above")
+    want_c = {"below": -c, "above": 2.0 * hi - c, "on": c}[wall]
+    want_v = v if wall == "on" else -v
+    center[k], vel[k] = want_c, want_v
+    got = nxt.center, nxt.velocity
+    assert [(a.x.hex(), a.y.hex(), a.z.hex()) for a in got] == [
+        tuple(map(float.hex, center)), tuple(map(float.hex, vel))]
+    assert (nxt.shape, nxt.radius) == (ob.shape, ob.radius)
+
+
+def test_advance_world_moves_only_the_moving_obstacles(monkeypatch):
+    obstacles = (sphere(20, 20, 10, 2.0),
+                 Obstacle("sphere", 1.0, Vec3(40, 40, 5), Vec3(0.2, 0.0, 0.0)),
+                 Obstacle("cylinder", 3.0, Vec3(70, 30, 0)),
+                 Obstacle("sphere", 1.0, Vec3(60, 80, 5), Vec3(0.0, -0.1, 0.05)),
+                 sphere(90, 90, 30, 4.0))
+    w = world(obstacles, at=Vec3(10, 10, 0))
+    calls = []
+
+    def spy(ob, bounds, dt):
+        calls.append(ob)
+        return _advance_obstacle(ob, bounds, dt)
+
+    monkeypatch.setattr(environment, "_advance_obstacle", spy)
+    nxt = advance_world(w, w.glider, 1.0)
+    assert w.index.moving == (1, 3)
+    assert calls == [obstacles[1], obstacles[3]]
+    for i in (0, 2, 4):
+        assert nxt.obstacles[i] is obstacles[i]
+    assert nxt.obstacles[1].center == Vec3(40.2, 40, 5)
 
 
 def test_reflection_is_deterministic_over_many_steps():

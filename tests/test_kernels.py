@@ -5,11 +5,10 @@ Exact agreement with the scalar potentials is pinned in test_potentials.
 
 import math
 import random
-from array import array
 
 from mppf import _kernels
 from mppf.geometry import Candidate, Vec3
-from mppf.potentials import ObstaclePoint
+from mppf.potentials import ObstaclePoint, PotentialParams
 
 
 def vec(rng, lo, hi):
@@ -28,11 +27,10 @@ def random_case(rng, n=25, m=6):
 
 def run_kernel(case, advanced):
     cands, goal, flow, points = case
-    out = array("d", bytes(8 * len(cands)))
-    _kernels.total_potential_grid(
+    out = _kernels.total_potential_grid(
         len(cands), cands, goal[0], goal[1], goal[2], flow,
-        len(points), points, 0.1, 10.0, 0.1, 0.1, math.radians(20.0),
-        advanced, out)
+        len(points), points, PotentialParams(), advanced)
+    assert type(out) is list and len(out) == len(cands)
     return out
 
 

@@ -2,7 +2,6 @@
 
 import math
 import random
-from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -81,10 +80,11 @@ def test_grid_matches_scalar_composition_exactly():
         flow = Vec3(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), 0.0)
         mode = rng.choice(("baseline", "advanced"))
         grid = grid_potentials(surf, goal, pts, flow, PARAMS, mode)
+        assert len(grid) == len(surf.candidates)
         for i, c in enumerate(surf.candidates):
             vel = spherical_to_cartesian(c.psi, c.theta, c.speed)
-            assert grid[i] == total_potential(
-                c.position, vel, goal, pts, flow, PARAMS, mode)
+            assert grid[i].hex() == total_potential(
+                c.position, vel, goal, pts, flow, PARAMS, mode).hex()
 
 
 def test_selection_agrees_with_brute_force_randomized():
@@ -172,11 +172,9 @@ def test_point_filter_leaves_every_score_bit_identical(case):
     surf, goal, points, flow = case
     n = len(surf.candidates)
     for mode in ("baseline", "advanced"):
-        want = array("d", bytes(8 * n))
-        _kernels.total_potential_grid(
+        want = _kernels.total_potential_grid(
             n, surf.candidates, goal.x, goal.y, goal.z, flow, len(points),
-            points, PARAMS.xi, PARAMS.eta, PARAMS.tau, PARAMS.kappa,
-            PARAMS.flow_align_max, mode == "advanced", want)
+            points, PARAMS, mode == "advanced")
         got = grid_potentials(surf, goal, points, flow, PARAMS, mode)
         assert [u.hex() for u in got] == [u.hex() for u in want]
         for c, u in zip(surf.candidates, want):

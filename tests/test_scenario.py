@@ -116,6 +116,15 @@ BAD = [
       "obstacles[3].spin: unknown field",
       "obstacles[3].center: outside the domain bounds",
       "obstacles[4].velocity: cylinders are static"]),
+    # one problem for each bad radius
+    ({"obstacles": [{"radius": -1, "center": [50, 50, 5]},
+                    {"radius": "x", "center": [50, 50, 5]},
+                    {"radius": True, "center": [50, 50, 5]},
+                    {"center": [50, 50, 5]}]},
+     ["obstacles[0].radius: must be positive",
+      "obstacles[1].radius: expected a number",
+      "obstacles[2].radius: expected a number",
+      "obstacles[3].radius: expected a number"]),
 ]
 
 
@@ -265,8 +274,7 @@ NON_FINITE = [
     ({"flow": {"cell_size": math.nan}}, ["flow.cell_size: expected a finite number"]),
     ({"start": [10, 10, math.inf]}, ["start: expected finite numbers"]),
     ({"obstacles": [{"radius": math.nan, "center": [50, 50, 5]}]},
-     ["obstacles[0].radius: expected a finite number",
-      "obstacles[0].radius: must be positive"]),
+     ["obstacles[0].radius: expected a finite number"]),
     ({"obstacles": [{"radius": 2, "center": [50, 50, math.nan]}]},
      ["obstacles[0].center: expected finite numbers"]),
     ({"random_obstacles": {"count": math.nan, "radius": [1, math.inf]}},
