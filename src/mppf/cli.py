@@ -16,6 +16,7 @@ import yaml
 
 from mppf.errors import ScenarioError
 from mppf.harness import EXIT_CODES, compare_modes, emit_outputs, run_scenario, summary_dict
+from mppf.potentials import MODES
 from mppf.scenario import load_scenario, materialize_obstacles
 
 EXIT_INVALID = 64
@@ -32,7 +33,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p: argparse.ArgumentParser, with_mode: bool) -> None:
     p.add_argument("--scenario", required=True, help="scenario YAML file")
     if with_mode:
-        p.add_argument("--mode", choices=["baseline", "advanced"],
+        p.add_argument("--mode", choices=MODES,
                        help="override the scenario's planner mode")
     p.add_argument("--seed", type=int, help="override the scenario seed")
     p.add_argument("--out", help="output directory (default runs/<name>...)")

@@ -100,13 +100,18 @@ class ObstacleIndex:
 
     def near(self, p: Vec3, reach: float) -> list[int]:
         """Sorted indices of every obstacle whose surface may lie within
-        `reach` of p: a superset of the exact answer."""
+        `reach` of p: a superset of the exact answer. An infinite reach
+        returns every obstacle."""
         out = list(self.moving)
         cells = self.cells
         if cells:
             r, c = reach + self.pad, self.cell
-            x0, x1 = math.floor((p.x - r) / c), math.floor((p.x + r) / c)
-            y0, y1 = math.floor((p.y - r) / c), math.floor((p.y + r) / c)
+            if r == math.inf:  # unbounded: the scan below reads every cell
+                x0 = y0 = -r
+                x1 = y1 = r
+            else:
+                x0, x1 = math.floor((p.x - r) / c), math.floor((p.x + r) / c)
+                y0, y1 = math.floor((p.y - r) / c), math.floor((p.y + r) / c)
             if (x1 - x0 + 1) * (y1 - y0 + 1) <= len(cells):
                 for cx in range(x0, x1 + 1):
                     for cy in range(y0, y1 + 1):
@@ -334,7 +339,8 @@ def glider_clearance(obstacles: tuple[Obstacle, ...], index: ObstacleIndex,
 
 
 def advance_world(world: WorldState, new_glider: GliderState, dt: float) -> WorldState:
-    """Common tail of every simulation step: obstacles, clock, clearance.
+    """The only world transition: the vehicle takes `new_glider`, whether
+    the planner's or an escape's, then obstacles, clock and clearance follow.
 
     Only the moving obstacles advance; a field without any keeps its tuple.
     """
@@ -351,22 +357,22 @@ def advance_world(world: WorldState, new_glider: GliderState, dt: float) -> Worl
                    time=world.time + dt, clearance=clearance)
 
 
-def step_kinematics(world: WorldState, command: GotoCommand, dt: float) -> WorldState:
-    """Advance one step toward the commanded go-to point.
+def step_kinematics(glider: GliderState, command: GotoCommand, flow: Vec3,
+                    dt: float) -> GliderState:
+    """The vehicle after one step toward the commanded go-to point.
 
-    The still-water velocity is (target - position)/dt, so in still water
-    the vehicle lands exactly on the target; flow displaces it by
-    flow_velocity(position)*dt on top.
+    Only the vehicle: the caller passes `flow`, the flow velocity at the
+    vehicle's position, and hands the result to advance_world. The
+    still-water velocity is (target - position)/dt, so in still water the
+    vehicle lands exactly on the target; flow displaces it by flow*dt on top.
     """
-    g = world.glider
+    p = glider.position
     inv = 1.0 / dt
-    vel = Vec3((command.target.x - g.position.x) * inv,
-               (command.target.y - g.position.y) * inv,
-               (command.target.z - g.position.z) * inv)
-    fl = flow_velocity(world.flow, g.position)
-    pos = Vec3(g.position.x + (vel.x + fl.x) * dt,
-               g.position.y + (vel.y + fl.y) * dt,
-               g.position.z + (vel.z + fl.z) * dt)
-    new_glider = GliderState(pos, Attitude(command.psi_d, command.theta_d),
-                             vel.norm(), "follow")
-    return advance_world(world, new_glider, dt)
+    vel = Vec3((command.target.x - p.x) * inv,
+               (command.target.y - p.y) * inv,
+               (command.target.z - p.z) * inv)
+    pos = Vec3(p.x + (vel.x + flow.x) * dt,
+               p.y + (vel.y + flow.y) * dt,
+               p.z + (vel.z + flow.z) * dt)
+    return GliderState(pos, Attitude(command.psi_d, command.theta_d),
+                       vel.norm(), "follow")

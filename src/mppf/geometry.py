@@ -78,19 +78,6 @@ def spherical_to_cartesian(psi: float, theta: float, r: float) -> Vec3:
     return Vec3(r * ct * math.cos(psi), r * ct * math.sin(psi), -r * math.sin(theta))
 
 
-def cartesian_to_spherical(v: Vec3) -> tuple[float, float, float]:
-    """Inverse of :func:`spherical_to_cartesian`; returns (psi, theta, r).
-
-    psi is 0 for a purely vertical displacement (heading undefined there).
-    """
-    r = v.norm()
-    if r == 0.0:
-        return 0.0, 0.0, 0.0
-    psi = math.atan2(v.y, v.x)
-    s = min(1.0, max(-1.0, -v.z / r))
-    return psi, math.asin(s), r
-
-
 @dataclass(frozen=True, slots=True)
 class Attitude:
     """Heading and glide angle, radians."""

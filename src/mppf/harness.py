@@ -2,11 +2,12 @@
 
 Each step of a run has four phases: sense the obstacles; decide on a
 planner command or, when the vehicle is trapped or has no feasible
-candidate, on a vertical escape step; move; and after a planner step keep
-the books (progress, waypoints, cross-track replans). Every random draw
-comes from one seeded generator at materialization time and the
-arithmetic is pure IEEE doubles, so a (scenario, seed) pair reproduces
-byte-identical output files.
+candidate, on a vertical escape step; move, where advance_world takes the
+vehicle the escape step or step_kinematics computed and moves the rest of
+the world; and after a planner step keep the books (progress, waypoints,
+cross-track replans). Every random draw comes from one seeded generator at
+materialization time and the arithmetic is pure IEEE doubles, so a
+(scenario, seed) pair reproduces byte-identical output files.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def cull_radius(scenario: Scenario, obstacles: Sequence[Obstacle]) -> float:
     hull = spec.body_radius
     reach = max(spec.speed_down, spec.speed_up) * scenario.dt
     return max(2.0 * (r_max + hull) + reach,
-               r_max + hull + cfg.cz_margin,
+               esc.critical_zone_radius(r_max, hull, cfg),
                hull + cfg.overhead_pad + r_max + hull
                + cfg.overhead_clearance) + 1.0
 
@@ -205,8 +206,8 @@ def run_scenario(scenario: Scenario, *, mode: str | None = None,
         kind, u_min = ("escape", math.nan) if cmd is None else ("follow", cmd.potential)
         rows.append(TrajectorySample(world.time, g.position, g.attitude.psi,
                                      g.attitude.theta, kind, u_min))
-        world = (advance_world(world, escaped, dt) if cmd is None
-                 else step_kinematics(world, cmd, dt))
+        world = advance_world(world, escaped if cmd is None else
+                              step_kinematics(g, cmd, flow_here, dt), dt)
         min_clear = min(min_clear, world.clearance)
         if world.collision:
             status = STATUS_COLLISION

@@ -157,61 +157,67 @@ GROUPS = {
 }
 
 
-class _Reader:
-    """Collects problems instead of failing on the first bad field."""
+# The readers below append to `problems` and carry on, so that one pass
+# lists every offending field rather than the first.
+def _section(problems: list[str], data: dict, key: str,
+             allowed: Container[str]) -> dict:
+    raw = data.get(key)
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        problems.append(f"{key}: expected a mapping")
+        return {}
+    for k in raw:
+        if k not in allowed:
+            problems.append(f"{key}.{k}: unknown field")
+    return raw
 
-    def __init__(self, data: dict):
-        self.data = data
-        self.problems: list[str] = []
 
-    def section(self, key: str, allowed: Container[str]) -> dict:
-        raw = self.data.get(key)
-        if raw is None:
-            return {}
-        if not isinstance(raw, dict):
-            self.problems.append(f"{key}: expected a mapping")
-            return {}
-        for k in raw:
-            if k not in allowed:
-                self.problems.append(f"{key}.{k}: unknown field")
-        return raw
+def _number(problems: list[str], sec: dict, sec_name: str, key: str,
+            default: float | None, lo: float | None = None,
+            hi: float | None = None, integer: bool = False) -> float | None:
+    v = sec.get(key, default)
+    if not _is_number(v):
+        problems.append(f"{sec_name}.{key}: expected a number")
+        return default
+    if not _finite(v):
+        problems.append(f"{sec_name}.{key}: expected a finite number")
+        return default
+    if integer and int(v) != v:
+        problems.append(f"{sec_name}.{key}: expected an integer")
+        return default
+    if lo is not None and v < lo:
+        problems.append(f"{sec_name}.{key}: must be >= {lo}")
+        return default
+    if hi is not None and v > hi:
+        problems.append(f"{sec_name}.{key}: must be <= {hi}")
+        return default
+    return int(v) if integer else float(v)
 
-    def num(self, sec: dict, sec_name: str, key: str, default: float | None,
-            lo: float | None = None, hi: float | None = None,
-            integer: bool = False) -> float | None:
-        v = sec.get(key, default)
-        if not _is_number(v):
-            self.problems.append(f"{sec_name}.{key}: expected a number")
-            return default
-        if not _finite(v):
-            self.problems.append(f"{sec_name}.{key}: expected a finite number")
-            return default
-        if integer and int(v) != v:
-            self.problems.append(f"{sec_name}.{key}: expected an integer")
-            return default
-        if lo is not None and v < lo:
-            self.problems.append(f"{sec_name}.{key}: must be >= {lo}")
-            return default
-        if hi is not None and v > hi:
-            self.problems.append(f"{sec_name}.{key}: must be <= {hi}")
-            return default
-        return int(v) if integer else float(v)
 
-    def vec(self, container: dict, name: str, key: str,
+def _numbers(problems: list[str], name: str, v, sizes: Container[int],
+             expected: str) -> tuple[float, ...] | None:
+    """``v`` as floats when it is a list of finite numbers whose length is
+    in ``sizes``; otherwise lists one problem and returns None."""
+    if (not isinstance(v, (list, tuple)) or len(v) not in sizes
+            or not all(map(_is_number, v))):
+        problems.append(f"{name}: expected {expected}")
+        return None
+    if not all(map(_finite, v)):
+        problems.append(f"{name}: expected finite numbers")
+        return None
+    return tuple(map(float, v))
+
+
+def _vector(problems: list[str], data: dict, name: str, key: str,
             dims: int = 3) -> Vec3 | None:
-        v = container.get(key)
-        if v is None:
-            self.problems.append(f"{name}: missing")
-            return None
-        if (not isinstance(v, (list, tuple)) or len(v) not in (dims, 3)
-                or not all(map(_is_number, v))):
-            self.problems.append(f"{name}: expected a list of {dims} numbers")
-            return None
-        if not all(map(_finite, v)):
-            self.problems.append(f"{name}: expected finite numbers")
-            return None
-        vals = [float(c) for c in v] + [0.0] * (3 - len(v))
-        return Vec3(*vals)
+    """A point of ``dims`` or 3 coordinates; a missing z is 0."""
+    v = data.get(key)
+    if v is None:
+        problems.append(f"{name}: missing")
+        return None
+    xyz = _numbers(problems, name, v, (dims, 3), f"a list of {dims} numbers")
+    return None if xyz is None else Vec3(*xyz, *(0.0,) * (3 - len(xyz)))
 
 
 def _is_number(v) -> bool:
@@ -226,14 +232,14 @@ def _finite(v: float) -> bool:
         return False
 
 
-def _read_group(r: _Reader, key: str, default):
+def _read_group(problems: list[str], data: dict, key: str, default):
     """Parameter group ``key`` from the file over the fields of ``default``.
 
     Only fields present in the file are read and converted, so an absent
     angle keeps its radian default exactly. A ``null`` keeps the default
     only where that default is itself ``None``.
     """
-    sec = r.section(key, GROUPS[key])
+    sec = _section(problems, data, key, GROUPS[key])
     values = {}
     for fkey, (field, lo, hi, kind) in GROUPS[key].items():
         v = sec.get(fkey)
@@ -243,12 +249,16 @@ def _read_group(r: _Reader, key: str, default):
             if isinstance(v, bool):
                 values[field] = v
             else:
-                r.problems.append(f"{key}.{fkey}: expected true/false")
+                problems.append(f"{key}.{fkey}: expected true/false")
             continue
         if kind == RANGE:
-            v = _read_range(r, f"{key}.{fkey}", v, lo)
+            v = _numbers(problems, f"{key}.{fkey}", v, (2,), "[low, high]")
+            if v is not None and not lo <= v[0] <= v[1]:
+                problems.append(f"{key}.{fkey}: expected {lo} <= low <= high")
+                v = None
         else:
-            v = r.num(sec, key, fkey, None, lo, hi, integer=kind == INT)
+            v = _number(problems, sec, key, fkey, None, lo, hi,
+                        integer=kind == INT)
         if v is not None:
             values[field] = math.radians(v) if kind == DEG else v
     return replace(default, **values)
@@ -263,37 +273,38 @@ def _dump_group(key: str, group) -> dict:
     return out
 
 
-def _read_obstacle(reader: _Reader, idx: int, raw, bounds: Bounds) -> Obstacle | None:
+def _read_obstacle(problems: list[str], idx: int, raw,
+                   bounds: Bounds) -> Obstacle | None:
     name = f"obstacles[{idx}]"
     if not isinstance(raw, dict):
-        reader.problems.append(f"{name}: expected a mapping")
+        problems.append(f"{name}: expected a mapping")
         return None
     for k in raw:
         if k not in {"shape", "radius", "center", "velocity"}:
-            reader.problems.append(f"{name}.{k}: unknown field")
+            problems.append(f"{name}.{k}: unknown field")
     shape = raw.get("shape", SPHERE)
     if shape not in (SPHERE, CYLINDER):
-        reader.problems.append(f"{name}.shape: must be sphere or cylinder")
+        problems.append(f"{name}.shape: must be sphere or cylinder")
         return None
-    radius = reader.num(raw, name, "radius", None)  # None: a problem is listed
+    radius = _number(problems, raw, name, "radius", None)  # None: a problem is listed
     if radius is None or radius <= 0.0:
         if radius is not None:
-            reader.problems.append(f"{name}.radius: must be positive")
+            problems.append(f"{name}.radius: must be positive")
         return None
-    center = reader.vec(raw, f"{name}.center", "center",
-                        dims=2 if shape == CYLINDER else 3)
+    center = _vector(problems, raw, f"{name}.center", "center",
+                     dims=2 if shape == CYLINDER else 3)
     if center is None:
         return None
     vel = ZERO
     if "velocity" in raw:
-        vel = reader.vec(raw, f"{name}.velocity", "velocity") or ZERO
+        vel = _vector(problems, raw, f"{name}.velocity", "velocity") or ZERO
     if shape == CYLINDER and vel != ZERO:
-        reader.problems.append(f"{name}.velocity: cylinders are static")
+        problems.append(f"{name}.velocity: cylinders are static")
         vel = ZERO
     # a cylinder spans the whole water column, so its z is never read
     if not (0.0 <= center.x <= bounds.x and 0.0 <= center.y <= bounds.y
             and (shape == CYLINDER or 0.0 <= center.z <= bounds.depth)):
-        reader.problems.append(f"{name}.center: outside the domain bounds")
+        problems.append(f"{name}.center: outside the domain bounds")
     return Obstacle(shape, radius, center, vel)
 
 
@@ -325,104 +336,93 @@ def scenario_from_dict(data: dict, name: str = "scenario",
     ScenarioError listing every offending field."""
     if not isinstance(data, dict):
         raise ScenarioError(["scenario: expected a mapping"])
-    r = _Reader(data)
+    problems: list[str] = []
 
     version = data.get("schema_version")
     if version is None:
         if require_version:
-            r.problems.append("schema_version: missing (expected 1)")
+            problems.append("schema_version: missing (expected 1)")
+    elif isinstance(version, (list, dict)):
+        # aliases can make its text exponentially longer than the file
+        problems.append(
+            f"schema_version: unsupported {type(version).__name__} value")
     elif isinstance(version, bool) or version != SCHEMA_VERSION:
-        r.problems.append(f"schema_version: unsupported value {version!r}")
+        problems.append(f"schema_version: unsupported value {version!r}")
 
     for k in data:
         if k not in _TOP_KEYS:
-            r.problems.append(f"{k}: unknown field")
+            problems.append(f"{k}: unknown field")
 
     title = data.get("name", name)
     if not isinstance(title, str) or not title:
-        r.problems.append("name: expected a non-empty string")
+        problems.append("name: expected a non-empty string")
         title = name
 
     mode = data.get("mode", "advanced")
     if mode not in MODES:
-        r.problems.append(f"mode: must be one of {'/'.join(MODES)}")
+        problems.append(f"mode: must be one of {'/'.join(MODES)}")
         mode = "advanced"
 
-    seed = r.num(data, "scenario", "seed", 0, integer=True)
-    dt = r.num(data, "scenario", "dt", 1.0)
+    seed = _number(problems, data, "scenario", "seed", 0, integer=True)
+    dt = _number(problems, data, "scenario", "dt", 1.0)
     if dt <= 0.0:
-        r.problems.append("dt: must be positive")
+        problems.append("dt: must be positive")
         dt = 1.0
-    max_steps = r.num(data, "scenario", "max_steps", 3000, integer=True)
+    max_steps = _number(problems, data, "scenario", "max_steps", 3000, integer=True)
     if max_steps <= 0:
-        r.problems.append("max_steps: must be positive")
+        problems.append("max_steps: must be positive")
         max_steps = 3000
 
-    bounds = _read_group(r, "bounds", Bounds())
-    glider = _read_group(r, "glider", GliderSpec())
+    bounds = _read_group(problems, data, "bounds", Bounds())
+    glider = _read_group(problems, data, "glider", GliderSpec())
     if glider.max_depth > bounds.depth:
-        r.problems.append("glider.max_depth: deeper than the domain")
-    sawtooth = _read_group(r, "sawtooth", SawtoothParams(
+        problems.append("glider.max_depth: deeper than the domain")
+    sawtooth = _read_group(problems, data, "sawtooth", SawtoothParams(
         max_depth=glider.max_depth, water_depth=bounds.depth,
         max_glide_angle=glider.max_glide_angle))
     if sawtooth.depth_margin >= sawtooth.water_depth:
-        r.problems.append("sawtooth.depth_margin: must be below water_depth")
-    potentials = _read_group(r, "potentials", PotentialParams())
-    escape = _read_group(r, "escape", EscapeConfig())
-    sonar = _read_group(r, "sonar", SonarModel())
-    flow = _read_group(r, "flow", VortexFlow(max_depth=bounds.depth))
+        problems.append("sawtooth.depth_margin: must be below water_depth")
+    potentials = _read_group(problems, data, "potentials", PotentialParams())
+    escape = _read_group(problems, data, "escape", EscapeConfig())
+    sonar = _read_group(problems, data, "sonar", SonarModel())
+    flow = _read_group(problems, data, "flow", VortexFlow(max_depth=bounds.depth))
     if not data.get("flow"):
         flow = None  # the water is still unless the file describes a flow
 
-    start = r.vec(data, "start", "start")
-    goal = r.vec(data, "goal", "goal")
+    start = _vector(problems, data, "start", "start")
+    goal = _vector(problems, data, "goal", "goal")
     for label, v in (("start", start), ("goal", goal)):
         if v is None:
             continue
         if not (0.0 <= v.x <= bounds.x and 0.0 <= v.y <= bounds.y
                 and 0.0 <= v.z <= bounds.depth):
-            r.problems.append(f"{label}: outside the domain bounds")
+            problems.append(f"{label}: outside the domain bounds")
         elif v.z > glider.max_depth:
-            r.problems.append(f"{label}: deeper than the vehicle can go")
+            problems.append(f"{label}: deeper than the vehicle can go")
 
     obstacles = []
     raw_obs = data.get("obstacles", [])
     if not isinstance(raw_obs, list):
-        r.problems.append("obstacles: expected a list")
+        problems.append("obstacles: expected a list")
         raw_obs = []
     for i, raw in enumerate(raw_obs):
-        ob = _read_obstacle(r, i, raw, bounds)
+        ob = _read_obstacle(problems, i, raw, bounds)
         if ob is not None:
             obstacles.append(ob)
 
-    rand = _read_group(r, "random_obstacles", RandomObstacles())
+    rand = _read_group(problems, data, "random_obstacles", RandomObstacles())
     if rand.depth_range is not None and rand.depth_range[1] > bounds.depth:
-        r.problems.append("random_obstacles.depth: exceeds the domain depth")
+        problems.append("random_obstacles.depth: exceeds the domain depth")
     if not data.get("random_obstacles"):
         rand = None
 
-    if r.problems:
-        raise ScenarioError(r.problems)
+    if problems:
+        raise ScenarioError(problems)
     return Scenario(name=title, start=start, goal=goal, mode=mode,
                     seed=int(seed), dt=dt, max_steps=int(max_steps),
                     glider=glider, sawtooth=sawtooth, potentials=potentials,
                     escape=escape, sonar=sonar, bounds=bounds, flow=flow,
                     obstacles=tuple(obstacles), random_obstacles=rand)
-
-
-def _read_range(r: _Reader, name: str, v, lo: float) -> tuple[float, float] | None:
-    if (not isinstance(v, (list, tuple)) or len(v) != 2
-            or not all(map(_is_number, v))):
-        r.problems.append(f"{name}: expected [low, high]")
-        return None
-    if not all(map(_finite, v)):
-        r.problems.append(f"{name}: expected finite numbers")
-        return None
-    a, b = float(v[0]), float(v[1])
-    if a < lo or b < a:
-        r.problems.append(f"{name}: expected {lo} <= low <= high")
-        return None
-    return a, b
 
 
 def materialize_obstacles(sc: Scenario, seed: int) -> tuple[Obstacle, ...]:

@@ -21,11 +21,15 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
-def _header(width: float, height: float) -> str:
-    return (f'<svg xmlns="http://www.w3.org/2000/svg" '
+def _frame(width: float, height: float) -> list[str]:
+    """The opening <svg> tag and background of a width x height view."""
+    return [f'<svg xmlns="http://www.w3.org/2000/svg" '
             f'viewBox="{_fmt(-_MARGIN)} {_fmt(-_MARGIN)} '
             f'{_fmt(width + 2 * _MARGIN)} {_fmt(height + 2 * _MARGIN)}" '
-            f'width="640" height="{_fmt(640.0 * (height + 2 * _MARGIN) / (width + 2 * _MARGIN))}">')
+            f'width="640" height="{_fmt(640.0 * (height + 2 * _MARGIN) / (width + 2 * _MARGIN))}">',
+            f'<rect x="0" y="0" width="{_fmt(width)}" '
+            f'height="{_fmt(height)}" fill="#f7fafc" stroke="#888" '
+            f'stroke-width="0.3"/>']
 
 
 def _polyline(points: Sequence[tuple[float, float]]) -> str:
@@ -45,10 +49,7 @@ def top_view_svg(samples, obstacles: Sequence[Obstacle], bounds: Bounds,
     def sy(y: float) -> float:
         return bounds.y - y
 
-    parts = [_header(bounds.x, bounds.y)]
-    parts.append(f'<rect x="0" y="0" width="{_fmt(bounds.x)}" '
-                 f'height="{_fmt(bounds.y)}" fill="#f7fafc" stroke="#888" '
-                 f'stroke-width="0.3"/>')
+    parts = _frame(bounds.x, bounds.y)
     for ob in obstacles:
         fill = "#c66" if ob.velocity.norm2() > 0.0 else "#999"
         parts.append(f'<circle class="obstacle" cx="{_fmt(ob.center.x)}" '
@@ -92,10 +93,7 @@ def profile_view_svg(samples, obstacles: Sequence[Obstacle],
         arcs.append(arcs[-1] + a.position.hdist(b.position))
     total = max(arcs[-1], 1.0)
 
-    parts = [_header(total, bounds.depth)]
-    parts.append(f'<rect x="0" y="0" width="{_fmt(total)}" '
-                 f'height="{_fmt(bounds.depth)}" fill="#f7fafc" stroke="#888" '
-                 f'stroke-width="0.3"/>')
+    parts = _frame(total, bounds.depth)
     for ob, near in zip(obstacles, _nearest_samples(samples, obstacles)):
         s_at = arcs[near]
         if ob.shape == SPHERE:

@@ -153,6 +153,17 @@ def test_near_holds_every_obstacle_within_reach(case):
             if surface_distance(ob, p) <= reach} <= set(got)
 
 
+def test_near_with_an_infinite_reach_returns_every_obstacle():
+    """A reach that overflowed to +inf bounds no square of cells."""
+    obstacles = (Obstacle("sphere", 2.0, Vec3(190.0, 10.0, 5.0)),
+                 Obstacle("sphere", 1.0, Vec3(20.0, 20.0, 5.0), Vec3(0.5, 0.0, 0.0)),
+                 Obstacle("cylinder", 3.0, Vec3(5.0, 180.0, 0.0)),
+                 Obstacle("sphere", 4.0, Vec3(100.0, 100.0, 40.0)))
+    index = ObstacleIndex(obstacles, 8.0)
+    for p in (Vec3(0.0, 0.0, 0.0), Vec3(150.0, 60.0, 20.0)):
+        assert index.near(p, math.inf) == [0, 1, 2, 3]
+
+
 def test_clearance_sees_a_large_sphere_centered_past_the_reach():
     """The nearest surface is a large sphere's, centered two cells off; a
     small sphere within the cell is farther. A grid that pads its query by

@@ -239,6 +239,36 @@ def test_hundred_thousand_deep_yaml_exits_64_in_one_line(tmp_path, loader):
         f"  - {path}: not parseable as YAML (nested too deeply)"]
 
 
+def test_aliased_schema_version_reported_in_one_short_line(tmp_path, capsys):
+    # six levels of 9-element lists, each aliasing the one below: a file of
+    # a few hundred bytes whose value would print as millions of characters
+    levels = ["- &l0 [" + ", ".join(["0"] * 9) + "]"]
+    for k in range(1, 6):
+        levels.append(f"- &l{k} [" + ", ".join([f"*l{k - 1}"] * 9) + "]")
+    rest = {k: v for k, v in REACHES.items() if k != "schema_version"}
+    path = tmp_path / "aliased.yaml"
+    path.write_text(yaml.safe_dump(rest) + "schema_version:\n"
+                    + "\n".join(levels) + "\n")
+    assert path.stat().st_size < 600
+    assert cli.main(["validate", "--scenario", str(path)]) == 64
+    err = capsys.readouterr().err
+    assert len(err) < 1024
+    assert "  - schema_version: unsupported list value\n" in err
+
+
+def test_infinite_reach_runs_to_an_exit_code(tmp_path, capsys):
+    # the step reach dt * speed_down, and with it the cull radius, is +inf
+    data = dict(REACHES, dt=1.0e200,
+                glider={"max_depth": 10.0, "speed_down": 1.0e200},
+                obstacles=[{"shape": "sphere", "radius": 5.0,
+                            "center": [50, 50, 5]}])
+    path = write(tmp_path, data)
+    assert cli.main(["validate", "--scenario", path]) == 0
+    code = cli.main(["run", "--scenario", path, "--out", str(tmp_path / "o")])
+    assert code in harness.EXIT_CODES.values()
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_unwritable_out_reported_by_run_and_compare(tmp_path, capsys):
     path = write(tmp_path, REACHES)
     taken = tmp_path / "taken"

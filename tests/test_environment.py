@@ -249,7 +249,7 @@ def test_cylinder_sampled_on_shell_within_column():
 def test_still_water_step_lands_on_target():
     w = world()
     cmd = GotoCommand(Vec3(50.3, 50.4, 10.1), 0.6, -0.2, 1.0)
-    nxt = step_kinematics(w, cmd, 1.0)
+    nxt = advance_world(w, step_kinematics(w.glider, cmd, ZERO, 1.0), 1.0)
     assert nxt.glider.position == Vec3(50.3, 50.4, 10.1)
     assert nxt.glider.attitude == Attitude(0.6, -0.2)
     assert nxt.time == 1.0
@@ -260,15 +260,15 @@ def test_flow_displaces_exactly_one_step():
     w = world(at=Vec3(25.0, 50.0, 0.0), flow=fl)
     drift = flow_velocity(fl, Vec3(25.0, 50.0, 0.0))
     cmd = GotoCommand(Vec3(25.3, 50.0, 0.0), 0.0, 0.0, 1.0)
-    nxt = step_kinematics(w, cmd, 1.0)
-    assert nxt.glider.position.x == pytest.approx(25.3 + drift.x, rel=1e-12)
-    assert nxt.glider.position.y == pytest.approx(50.0 + drift.y, rel=1e-12)
+    g = step_kinematics(w.glider, cmd, drift, 1.0)
+    assert g.position.x == pytest.approx(25.3 + drift.x, rel=1e-12)
+    assert g.position.y == pytest.approx(50.0 + drift.y, rel=1e-12)
 
 
 def test_collision_flag_set_on_contact():
     w = world([sphere(52.0, 50.0, 10.0, 1.5)])
     cmd = GotoCommand(Vec3(51.0, 50.0, 10.0), 0.0, 0.0, 1.0)
-    nxt = step_kinematics(w, cmd, 1.0)
+    nxt = advance_world(w, step_kinematics(w.glider, cmd, ZERO, 1.0), 1.0)
     assert nxt.collision  # 1.0 m gap < 1.5 + 0.6
 
 

@@ -11,7 +11,7 @@ import math
 import pytest
 
 from mppf.environment import VortexFlow, flow_velocity
-from mppf.geometry import Vec3, cartesian_to_spherical, spherical_to_cartesian
+from mppf.geometry import Vec3, spherical_to_cartesian
 from mppf.potentials import (
     PotentialParams,
     attractive,
@@ -43,15 +43,6 @@ def test_spherical_to_cartesian_pitch_up():
     assert v.x == pytest.approx(s, rel=REL)
     assert v.y == pytest.approx(0.0, abs=1e-12)
     assert v.z == pytest.approx(-s, rel=REL)
-
-
-def test_spherical_roundtrip_axis_cases():
-    for psi, theta in [(0.0, 0.0), (math.pi / 2, 0.3), (-2.0, -0.7)]:
-        v = spherical_to_cartesian(psi, theta, 2.5)
-        p, t, r = cartesian_to_spherical(v)
-        assert p == pytest.approx(psi, abs=1e-12)
-        assert t == pytest.approx(theta, abs=1e-12)
-        assert r == pytest.approx(2.5, rel=REL)
 
 
 # --- attractive ----------------------------------------------------------

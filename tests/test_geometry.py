@@ -15,7 +15,6 @@ from mppf.geometry import (
     Vec3,
     angle_diff,
     build_sample_surface,
-    cartesian_to_spherical,
     spherical_to_cartesian,
     wrap_angle,
 )
@@ -52,9 +51,10 @@ def test_spherical_roundtrip_random():
         psi = rng.uniform(-math.pi, math.pi)
         theta = rng.uniform(-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3)
         r = rng.uniform(1e-3, 50.0)
-        p, t, rr = cartesian_to_spherical(spherical_to_cartesian(psi, theta, r))
-        assert p == pytest.approx(psi, abs=1e-9)
-        assert t == pytest.approx(theta, abs=1e-9)
+        v = spherical_to_cartesian(psi, theta, r)
+        rr = v.norm()
+        assert math.atan2(v.y, v.x) == pytest.approx(psi, abs=1e-9)
+        assert math.asin(-v.z / rr) == pytest.approx(theta, abs=1e-9)
         assert rr == pytest.approx(r, rel=1e-9)
 
 

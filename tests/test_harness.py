@@ -1,11 +1,12 @@
 """End-to-end run bookkeeping, emitted files, and replayability."""
 
 import math
+from pathlib import Path
 
 import pytest
 import yaml
 
-from mppf import escape, harness
+from mppf import environment, escape, harness
 from mppf.environment import flow_velocity, surface_points, visible_obstacles
 from mppf.errors import NoFeasibleWaypoint, TrappedError
 from mppf.geometry import Vec3, build_sample_surface
@@ -17,7 +18,9 @@ from mppf.harness import (
     summary_dict,
 )
 from mppf.potentials import select_goto
-from mppf.scenario import scenario_from_dict
+from mppf.scenario import load_scenario, scenario_from_dict
+
+SCENARIOS = Path(__file__).parents[1] / "scenarios"
 
 SAWTOOTH = {
     "name": "open-run",
@@ -145,6 +148,30 @@ def test_senses_once_and_moves_once_per_step(monkeypatch):
     assert res.status == "reached" and res.escapes >= 1
     steps = len(res.trajectory) - 1
     assert n == {"senses": steps, "moves": steps}  # no sensing after arrival
+
+
+def test_one_flow_lookup_and_one_world_step_per_step(monkeypatch):
+    """Planner and escape steps alike look the flow up once, where they
+    sense, and advance the world once, when they move."""
+    n = count_calls(monkeypatch)
+    calls = {"flow": 0, "advance": 0}
+
+    def spy(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (harness, environment):
+        monkeypatch.setattr(module, "flow_velocity",
+                            spy("flow", environment.flow_velocity))
+    monkeypatch.setattr(harness, "advance_world",
+                        spy("advance", harness.advance_world))
+    res = run_scenario(load_scenario(SCENARIOS / "concave_trap.yaml"))
+    assert {s.mode for s in res.trajectory[:-1]} == {"follow", "escape"}
+    steps = len(res.trajectory) - 1
+    assert n == {"senses": steps, "moves": steps}
+    assert calls == {"flow": steps, "advance": steps}
 
 
 # --- trapped and infeasible branches ---------------------------------------
