@@ -3,6 +3,15 @@
 Frame: x east, y north, z depth (positive down, z=0 at the surface).
 Heading psi is measured in the horizontal plane from +x, glide angle theta
 in the vertical plane, positive when climbing (depth decreasing).
+
+Vec3 and Candidate are built tens of times per planner decision, so they
+are plain __slots__ classes whose __init__ stores the fields directly; a
+frozen dataclass sets each field through object.__setattr__, at about
+three times the cost. Their __eq__, __hash__ and __repr__ behave as a
+frozen dataclass's would, but their fields can be assigned. Nothing may
+assign them, least of all the shared ZERO; an AST test in
+tests/test_geometry.py enforces that. Every other value type here is a
+frozen dataclass.
 """
 
 from __future__ import annotations
@@ -24,11 +33,29 @@ def angle_diff(a: float, b: float) -> float:
     return wrap_angle(a - b)
 
 
-@dataclass(frozen=True, slots=True)
 class Vec3:
-    x: float
-    y: float
-    z: float
+    """A point or displacement, meters (or a velocity, m/s). Immutable by
+    convention only: see the module docstring."""
+
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, x: float, y: float, z: float):
+        self.x = x
+        self.y = y
+        self.z = z
+
+    def __repr__(self) -> str:
+        return f"Vec3(x={self.x!r}, y={self.y!r}, z={self.z!r})"
+
+    # a frozen dataclass's comparison: tuples, so a field compares equal to
+    # itself even when it is a NaN
+    def __eq__(self, o):
+        if o.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x, self.y, self.z) == (o.x, o.y, o.z)
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y, self.z))
 
     def __add__(self, o: "Vec3") -> "Vec3":
         return Vec3(self.x + o.x, self.y + o.y, self.z + o.z)
@@ -125,18 +152,38 @@ class GliderState:
     mode: str = "follow"  # "follow" while tracking waypoints, "escape" otherwise
 
 
-@dataclass(frozen=True, slots=True)
 class Candidate:
     """One reachable waypoint on the sample surface: the step's end point
     (start + spherical_to_cartesian(psi, theta, speed * dt)) and the
     still-water velocity that reaches it (spherical_to_cartesian(psi,
-    theta, speed)), which the potentials score."""
+    theta, speed)), which the potentials score. Immutable by convention
+    only, like Vec3."""
 
-    position: Vec3
-    velocity: Vec3
-    psi: float
-    theta: float
-    speed: float
+    __slots__ = ("position", "velocity", "psi", "theta", "speed")
+
+    def __init__(self, position: Vec3, velocity: Vec3, psi: float,
+                 theta: float, speed: float):
+        self.position = position
+        self.velocity = velocity
+        self.psi = psi
+        self.theta = theta
+        self.speed = speed
+
+    def __repr__(self) -> str:
+        return (f"Candidate(position={self.position!r}, "
+                f"velocity={self.velocity!r}, psi={self.psi!r}, "
+                f"theta={self.theta!r}, speed={self.speed!r})")
+
+    def _fields(self) -> tuple:
+        return (self.position, self.velocity, self.psi, self.theta, self.speed)
+
+    def __eq__(self, o):
+        if o.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == o._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
 
 @dataclass(frozen=True, slots=True)

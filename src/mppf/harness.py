@@ -122,7 +122,8 @@ def run_scenario(scenario: Scenario, *, mode: str | None = None,
 
     Keyword overrides exist for the CLI and sweeps; they default to the
     scenario's own fields. Termination: goal within arrival radius,
-    collision, trapped (no escape direction left), or the step budget.
+    collision (before the first move when the hull starts touching an
+    obstacle), trapped (no escape direction left), or the step budget.
     """
     mode = scenario.mode if mode is None else mode
     if mode not in MODES:
@@ -149,6 +150,9 @@ def run_scenario(scenario: Scenario, *, mode: str | None = None,
     min_clear = glider_clearance(obstacles, world.index, glider.position,
                                  world.body_radius)
     status = STATUS_MAX_STEPS
+    if min_clear <= 0.0:  # in contact at the start: no move is made
+        status = STATUS_COLLISION
+        max_steps = 0
 
     def replan(at: Vec3) -> saw.WaypointPlan:
         events.append((world.time, "replan"))

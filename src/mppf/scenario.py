@@ -32,6 +32,7 @@ from mppf.environment import (
     Obstacle,
     SonarModel,
     VortexFlow,
+    surface_distance,
 )
 from mppf.errors import ScenarioError
 from mppf.escape import EscapeConfig
@@ -405,10 +406,17 @@ def scenario_from_dict(data: dict, name: str = "scenario",
     if not isinstance(raw_obs, list):
         problems.append("obstacles: expected a list")
         raw_obs = []
+    touched = None  # the first explicit obstacle the hull touches at start
     for i, raw in enumerate(raw_obs):
         ob = _read_obstacle(problems, i, raw, bounds)
         if ob is not None:
             obstacles.append(ob)
+            # run_scenario's collision test: clearance <= 0
+            if (touched is None and start is not None and surface_distance(
+                    ob, start) - glider.body_radius <= 0.0):
+                touched = i
+    if touched is not None:
+        problems.append(f"start: the hull touches obstacles[{touched}]")
 
     rand = _read_group(problems, data, "random_obstacles", RandomObstacles())
     if rand.depth_range is not None and rand.depth_range[1] > bounds.depth:

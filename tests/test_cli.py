@@ -294,6 +294,20 @@ def test_unplaceable_random_field_rejected_by_every_subcommand(tmp_path, capsys)
     assert not (tmp_path / "o").exists() and not (tmp_path / "c").exists()
 
 
+def test_start_inside_an_obstacle_rejected_by_every_subcommand(tmp_path, capsys):
+    data = dict(REACHES, obstacles=[{"shape": "sphere", "radius": 1.0e308,
+                                     "center": [50, 50, 5]}])
+    path = write(tmp_path, data)
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "o")],
+                 ["compare", "--out", str(tmp_path / "c")]):
+        assert cli.main(argv + ["--scenario", path]) == 64
+        captured = capsys.readouterr()
+        assert captured.err == (f"invalid scenario {path}:\n"
+                                "  - start: the hull touches obstacles[0]\n")
+        assert captured.out == ""
+    assert not (tmp_path / "o").exists() and not (tmp_path / "c").exists()
+
+
 def test_non_finite_numbers_rejected_by_validate_and_run(tmp_path, capsys):
     for bad in ({"glider": {"max_depth": math.nan}}, {"seed": math.inf}):
         path = write(tmp_path, dict(REACHES, **bad))

@@ -1,7 +1,11 @@
-"""Sample-surface construction and the angle/vector helpers under it."""
+"""Sample-surface construction, the angle/vector helpers under it, and the
+hand-written value types Vec3 and Candidate."""
 
+import ast
 import math
 import random
+from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 from mppf.geometry import (
     GRID_N,
     Attitude,
+    Candidate,
     GliderSpec,
     GliderState,
     Vec3,
@@ -171,3 +176,137 @@ def test_fan_matches_spherical_to_cartesian_bit_for_bit(psi, theta, step, glide,
                 state.position + spherical_to_cartesian(psi_i, theta_j,
                                                         c.speed * dt))
     assert k == len(surf.candidates)
+
+
+# --- Vec3 and Candidate: a frozen dataclass's semantics, not its guard -------
+
+@dataclass(frozen=True, slots=True)
+class RefVec3:
+    x: float
+    y: float
+    z: float
+
+
+@dataclass(frozen=True, slots=True)
+class RefCandidate:
+    position: RefVec3
+    velocity: RefVec3
+    psi: float
+    theta: float
+    speed: float
+
+
+NAN = math.nan  # one shared object: tuple comparison finds it equal to itself
+FIELD = st.sampled_from([0.0, -0.0, 1.5, NAN, math.inf]) | st.floats()
+
+
+def vec3(*xyz):
+    """A Vec3 and its reference, built from the same field objects."""
+    return Vec3(*xyz), RefVec3(*xyz)
+
+
+def candidate(pos, vel, *rest):
+    return Candidate(pos[0], vel[0], *rest), RefCandidate(pos[1], vel[1], *rest)
+
+
+VEC3S = st.tuples(FIELD, FIELD, FIELD).map(lambda xyz: vec3(*xyz))
+CANDIDATES = st.builds(candidate, VEC3S, VEC3S, FIELD, FIELD, FIELD)
+FOREIGN = [None, "x", (0.0, 0.0, 0.0), 1.5, object()]
+
+
+def assert_same_semantics(a, ref_a, b, ref_b):
+    assert (a == b) is (ref_a == ref_b)
+    assert (a != b) is (ref_a != ref_b)
+    assert hash(a) == hash(ref_a)
+    assert repr(a) == repr(ref_a).replace("Ref", "")
+    # another class, the reference included, never compares equal
+    for other in FOREIGN + [ref_a, ref_b]:
+        assert a.__eq__(other) is NotImplemented
+        assert (a == other) is False and (a != other) is True
+
+
+@settings(max_examples=300, deadline=None)
+@given(VEC3S, VEC3S)
+@example(vec3(NAN, 0.0, 1.0), vec3(NAN, 0.0, 1.0))
+@example(vec3(math.nan, 0.0, 1.0), vec3(math.nan, 0.0, 1.0))
+@example(vec3(-0.0, 0.0, -0.0), vec3(0.0, -0.0, 0.0))
+def test_vec3_compares_hashes_and_prints_like_a_frozen_dataclass(a, b):
+    assert_same_semantics(a[0], a[1], b[0], b[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(CANDIDATES, CANDIDATES)
+@example(candidate(vec3(NAN, 1.0, 2.0), vec3(0.0, 0.0, 0.0), NAN, -0.0, 0.5),
+         candidate(vec3(NAN, 1.0, 2.0), vec3(-0.0, 0.0, 0.0), NAN, 0.0, 0.5))
+def test_candidate_compares_hashes_and_prints_like_a_frozen_dataclass(a, b):
+    assert_same_semantics(a[0], a[1], b[0], b[1])
+    assert a[0] != a[0].position and a[0].position != a[0]
+
+
+# --- nothing assigns those fields ---------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+FIELDS = {"x", "y", "z", "position", "velocity", "psi", "theta", "speed"}
+SETTERS = {"setattr", "delattr", "__setattr__", "__delattr__"}
+
+
+def field_writes(tree):
+    """(line, enclosing class/function path, name) of every store to or
+    delete of an attribute named in FIELDS, and of every setattr-style call
+    that names one."""
+    out = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                walk(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr in FIELDS
+                    and not isinstance(child.ctx, ast.Load)):
+                out.append((child.lineno, ".".join(scope), child.attr))
+            elif isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
+                if (name in SETTERS and len(child.args) >= 2
+                        and isinstance(child.args[1], ast.Constant)
+                        and child.args[1].value in FIELDS):
+                    out.append((child.lineno, ".".join(scope),
+                                child.args[1].value))
+            walk(child, scope)
+
+    walk(tree, ())
+    return out
+
+
+def test_the_field_guard_sees_every_kind_of_write():
+    src = ("ZERO.x = 1.0\n"
+           "def f(v, c):\n"
+           "    v.y += 1.0\n"
+           "    del c.position\n"
+           "    setattr(c, 'psi', 0.0)\n"
+           "    object.__setattr__(c, 'speed', 0.0)\n"
+           "    c.velocity.z, w = 0.0, v.x\n")
+    assert field_writes(ast.parse(src)) == [
+        (1, "", "x"), (3, "f", "y"), (4, "f", "position"), (5, "f", "psi"),
+        (6, "f", "speed"), (7, "f", "z")]
+
+
+def test_nothing_assigns_the_fields_of_vec3_or_candidate():
+    # Vec3 and Candidate no longer refuse assignment, and ZERO is shared by
+    # every caller: only their own __init__ may write these names
+    allowed = {("src/mppf/geometry.py", "Vec3.__init__"): {"x", "y", "z"},
+               ("src/mppf/geometry.py", "Candidate.__init__"):
+                   {"position", "velocity", "psi", "theta", "speed"}}
+    seen = {key: set() for key in allowed}
+    writes = []
+    for path in sorted([*(ROOT / "src" / "mppf").rglob("*.py"),
+                        *(ROOT / "tools").rglob("*.py")]):
+        rel = path.relative_to(ROOT).as_posix()
+        for line, scope, name in field_writes(ast.parse(path.read_text())):
+            if (rel, scope) in allowed:
+                seen[rel, scope].add(name)
+            else:
+                writes.append(f"{rel}:{line} {scope or '<module>'} writes .{name}")
+    assert writes == []
+    assert seen == allowed  # the walk does reach the two constructors

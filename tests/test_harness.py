@@ -7,7 +7,13 @@ import pytest
 import yaml
 
 from mppf import environment, escape, harness
-from mppf.environment import flow_velocity, surface_points, visible_obstacles
+from mppf.environment import (
+    ObstacleIndex,
+    flow_velocity,
+    glider_clearance,
+    surface_points,
+    visible_obstacles,
+)
 from mppf.errors import NoFeasibleWaypoint, TrappedError
 from mppf.geometry import Vec3, build_sample_surface
 from mppf.harness import (
@@ -18,7 +24,7 @@ from mppf.harness import (
     summary_dict,
 )
 from mppf.potentials import select_goto
-from mppf.scenario import load_scenario, scenario_from_dict
+from mppf.scenario import load_scenario, materialize_obstacles, scenario_from_dict
 
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
 
@@ -80,6 +86,23 @@ def test_trajectory_rows_match_time_cost():
     assert res.trajectory[-1].t == res.time_cost
     ts = [s.t for s in res.trajectory]
     assert ts == sorted(ts)
+
+
+def test_a_start_in_contact_ends_collision_without_a_move():
+    # keepout 0 keeps the field's surfaces off the start but not off the
+    # 0.6 m hull: at seed 6 one sphere overlaps it
+    sc = scenario(dict(SAWTOOTH, random_obstacles={
+        "count": 40, "radius": [1, 2], "keepout": 0, "depth": [0, 3]}))
+    obstacles = materialize_obstacles(sc, 6)
+    start_clear = glider_clearance(obstacles, ObstacleIndex(obstacles),
+                                   sc.start, sc.glider.body_radius)
+    assert start_clear <= 0.0
+    res = run_scenario(sc, seed=6)
+    assert res.status == "collision" and res.collision
+    assert EXIT_CODES[res.status] == 2
+    assert res.time_cost == 0.0 and res.events == []
+    assert [s.position for s in res.trajectory] == [sc.start]
+    assert res.min_clearance == start_clear
 
 
 def test_open_water_run_never_escapes():

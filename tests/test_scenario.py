@@ -205,6 +205,25 @@ def test_sphere_centre_depth_checked_against_the_domain():
     assert deep.obstacles[0].center.z == 500.0
 
 
+def test_start_touching_an_explicit_obstacle_rejected():
+    # the default hull radius is 0.6 m; obstacles[1]'s surface is 0.5 m away
+    spheres = [{"radius": 2, "center": [90, 90, 5]},
+               {"radius": 5, "center": [10, 10, 5.5]},
+               {"radius": 1.0e308, "center": [50, 50, 5]}]
+    assert problems({"obstacles": spheres}) == [
+        "start: the hull touches obstacles[1]"]
+    pillar = [{"shape": "cylinder", "radius": 1.5, "center": [10, 12]}]
+    assert problems({"obstacles": pillar}) == [
+        "start: the hull touches obstacles[0]"]
+    # a surface exactly one hull radius away touches: clearance 0 collides
+    sphere = [{"radius": 2, "center": [10, 10, 3]}]
+    assert problems({"obstacles": sphere, "glider": {"body_radius": 1.0}}) == [
+        "start: the hull touches obstacles[0]"]
+    clear = scenario_from_dict({**BASE, "obstacles": sphere,
+                                "glider": {"body_radius": 0.5}})
+    assert len(clear.obstacles) == 1
+
+
 def test_literal_stride_accepts_only_booleans():
     assert scenario_from_dict({**BASE, "sawtooth": {"literal_stride": True}}
                               ).sawtooth.literal_stride is True
