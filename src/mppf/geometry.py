@@ -4,14 +4,19 @@ Frame: x east, y north, z depth (positive down, z=0 at the surface).
 Heading psi is measured in the horizontal plane from +x, glide angle theta
 in the vertical plane, positive when climbing (depth decreasing).
 
-Vec3 and Candidate are built tens of times per planner decision, so they
-are plain __slots__ classes whose __init__ stores the fields directly; a
-frozen dataclass sets each field through object.__setattr__, at about
-three times the cost. Their __eq__, __hash__ and __repr__ behave as a
-frozen dataclass's would, but their fields can be assigned. Nothing may
-assign them, least of all the shared ZERO; an AST test in
-tests/test_geometry.py enforces that. Every other value type here is a
-frozen dataclass.
+The sample surface is a 5x5 fan: each of 5 headings crossed with each of
+5 glide angles, each glide angle at its own speed. SampleSurface keeps the
+fan as those factors, one row per heading and one per glide angle, and
+the planner scores and selects straight from the rows. Candidate, one
+point of the fan, is built only on request (SampleSurface.candidates).
+
+Vec3 is built several times per simulated step, so it is a plain
+__slots__ class whose __init__ stores the fields directly; a frozen
+dataclass sets each field through object.__setattr__, at about three
+times the cost. Its __eq__, __hash__ and __repr__ behave as a frozen
+dataclass's would, but its fields can be assigned. Nothing may assign
+them, least of all those of the shared ZERO; an AST test in
+tests/test_geometry.py enforces that. Every other value type here is a frozen dataclass.
 """
 
 from __future__ import annotations
@@ -152,48 +157,52 @@ class GliderState:
     mode: str = "follow"  # "follow" while tracking waypoints, "escape" otherwise
 
 
+@dataclass(frozen=True, slots=True)
 class Candidate:
     """One reachable waypoint on the sample surface: the step's end point
     (start + spherical_to_cartesian(psi, theta, speed * dt)) and the
     still-water velocity that reaches it (spherical_to_cartesian(psi,
-    theta, speed)), which the potentials score. Immutable by convention
-    only, like Vec3."""
+    theta, speed)), which the potentials score."""
 
-    __slots__ = ("position", "velocity", "psi", "theta", "speed")
-
-    def __init__(self, position: Vec3, velocity: Vec3, psi: float,
-                 theta: float, speed: float):
-        self.position = position
-        self.velocity = velocity
-        self.psi = psi
-        self.theta = theta
-        self.speed = speed
-
-    def __repr__(self) -> str:
-        return (f"Candidate(position={self.position!r}, "
-                f"velocity={self.velocity!r}, psi={self.psi!r}, "
-                f"theta={self.theta!r}, speed={self.speed!r})")
-
-    def _fields(self) -> tuple:
-        return (self.position, self.velocity, self.psi, self.theta, self.speed)
-
-    def __eq__(self, o):
-        if o.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == o._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
+    position: Vec3
+    velocity: Vec3
+    psi: float
+    theta: float
+    speed: float
 
 
 @dataclass(frozen=True, slots=True)
 class SampleSurface:
+    """The 5x5 fan of candidate waypoints, as its heading and glide rows.
+
+    ``headings`` holds one row ``(psi, cp, sp)`` per heading, with
+    ``cp, sp = cos psi, sin psi``. ``glides`` holds one row ``(theta,
+    speed, rct, rdz, vct, vz)`` per glide angle: with ``r = speed * dt``,
+    ``rct, rdz = r cos theta, -r sin theta`` and ``vct, vz = speed cos
+    theta, -speed sin theta``. Candidate ``i * len(glides) + j`` pairs
+    heading row i with glide row j. It sits at ``center + (rct * cp, rct
+    * sp, rdz)`` and moves at ``(vct * cp, vct * sp, vz)``: the operation
+    order of ``spherical_to_cartesian``, so the bits match it.
+    """
+
     center: Vec3
     attitude: Attitude
-    candidates: tuple[Candidate, ...]
+    headings: tuple[tuple[float, float, float], ...]
+    glides: tuple[tuple[float, float, float, float, float, float], ...]
     # largest slant range speed * dt of the fan: no candidate lies farther
     # than this from center (up to rounding)
     reach: float
+
+    @property
+    def candidates(self) -> tuple[Candidate, ...]:
+        """The fan's Candidates in grid order, heading-major; built anew
+        on each read."""
+        p = self.center
+        return tuple(
+            Candidate(Vec3(p.x + rct * cp, p.y + rct * sp, p.z + rdz),
+                      Vec3(vct * cp, vct * sp, vz), psi, theta, speed)
+            for psi, cp, sp in self.headings
+            for theta, speed, rct, rdz, vct, vz in self.glides)
 
 
 def build_sample_surface(state: GliderState, spec: GliderSpec, dt: float) -> SampleSurface:
@@ -211,7 +220,6 @@ def build_sample_surface(state: GliderState, spec: GliderSpec, dt: float) -> Sam
     half = (GRID_N - 1) // 2
     psi_step = spec.max_heading_step / half
     theta_step = spec.max_glide_angle / half
-    pos = state.position
 
     # one cos/sin pair per heading and per glide angle, multiplied in
     # spherical_to_cartesian's operation order so the bits match it
@@ -227,13 +235,9 @@ def build_sample_surface(state: GliderState, spec: GliderSpec, dt: float) -> Sam
         st = math.sin(theta_j)
         glides.append((theta_j, speed, r * ct, -r * st, speed * ct, -speed * st))
 
-    cands = []
+    headings = []
     for i in range(-half, half + 1):
         psi_i = wrap_angle(psi0 + i * psi_step)
-        cp = math.cos(psi_i)
-        sp = math.sin(psi_i)
-        for theta_j, speed, rct, rz, vct, vz in glides:
-            cands.append(Candidate(
-                Vec3(pos.x + rct * cp, pos.y + rct * sp, pos.z + rz),
-                Vec3(vct * cp, vct * sp, vz), psi_i, theta_j, speed))
-    return SampleSurface(pos, state.attitude, tuple(cands), reach)
+        headings.append((psi_i, math.cos(psi_i), math.sin(psi_i)))
+    return SampleSurface(state.position, state.attitude, tuple(headings),
+                         tuple(glides), reach)

@@ -9,12 +9,14 @@ orientations a glider can hold) and penalizes nothing in between.
 
 The scalar functions here are the reference implementations;
 ``total_potential`` adds attraction, every repulsion term, every closing
-term, then flow. The batch kernel in ``mppf._kernels`` scores each
-candidate-point pair once but adds in that order, so its scores are
-bit-for-bit equal to composing the scalars; tests assert exact agreement.
-``grid_potentials`` hands the kernel only the points within reach of the
-fan, since a point beyond its influence radius from every candidate adds
-nothing.
+term, then flow. The batch kernel in ``mppf._kernels`` scores the fan
+straight from the sample surface's heading and glide rows, each
+candidate-point pair once, but adds in that order, so its scores are
+bit-for-bit equal to composing the scalars over ``surface.candidates``;
+tests assert exact agreement. ``grid_potentials`` hands the kernel only
+the points within reach of the fan, since a point beyond its influence
+radius from every candidate adds nothing. ``select_goto`` reads the rows
+too and builds one target ``Vec3``, for the chosen candidate only.
 """
 
 from __future__ import annotations
@@ -210,10 +212,10 @@ def grid_potentials(surface: SampleSurface, goal: Vec3,
         if dx * dx + dy * dy + dz * dz > lim * lim:
             continue
         near.append(p)
-    cands = surface.candidates
     return _kernels.total_potential_grid(
-        len(cands), cands, goal.x, goal.y, goal.z, flow, len(near), near,
-        params, mode == "advanced")
+        len(surface.headings) * len(surface.glides), surface,
+        goal.x, goal.y, goal.z, flow, len(near), near, params,
+        mode == "advanced")
 
 
 def select_goto(surface: SampleSurface, goal: Vec3,
@@ -223,9 +225,11 @@ def select_goto(surface: SampleSurface, goal: Vec3,
     """Pick the feasible candidate with the lowest total potential.
 
     Feasible means depth within [0, max_depth] and a finite score in the
-    list grid_potentials returns (+inf on a sample point). Exact potential
-    ties go to the smallest heading change, then the smallest glide-angle
-    change, then grid order, so selection is fully deterministic.
+    list grid_potentials returns (+inf on a sample point). A candidate's
+    depth is its glide row's, so depth is tested once per glide row.
+    Exact potential ties go to the smallest heading change, then the
+    smallest glide-angle change, then grid order, so selection is fully
+    deterministic.
 
     Raises
     ------
@@ -234,19 +238,33 @@ def select_goto(surface: SampleSurface, goal: Vec3,
     """
     grid = grid_potentials(surface, goal, points, flow, params, mode)
     att = surface.attitude
-    best = None  # (u, |dpsi|, |dtheta|, i) of the best candidate so far
-    for i, c in enumerate(surface.candidates):
-        if c.position.z < 0.0 or c.position.z > max_depth:
-            continue
-        u = grid[i]
-        if math.isinf(u) or best is not None and u > best[0]:
-            continue  # a larger u never keys lower: no key to build
-        key = (u, abs(angle_diff(c.psi, att.psi)), abs(c.theta - att.theta), i)
-        if best is None or key < best:
-            best = key
+    center = surface.center
+    glides = surface.glides
+    cols = len(glides)
+    # (j, |dtheta|) of each glide row within the depth limits
+    rows = []
+    for j, (theta, _speed, _rct, rdz, _vct, _vz) in enumerate(glides):
+        z = center.z + rdz
+        if not (z < 0.0 or z > max_depth):
+            rows.append((j, abs(theta - att.theta)))
+    best = None  # (u, |dpsi|, |dtheta|, k) of the best candidate so far
+    for i, (psi, _cp, _sp) in enumerate(surface.headings):
+        for j, dtheta in rows:
+            k = i * cols + j
+            u = grid[k]
+            if math.isinf(u) or best is not None and u > best[0]:
+                continue  # a larger u never keys lower: no key to build
+            key = (u, abs(angle_diff(psi, att.psi)), dtheta, k)
+            if best is None or key < best:
+                best = key
     if best is None:
         raise NoFeasibleWaypoint(
-            f"all {len(surface.candidates)} candidates infeasible at "
-            f"({surface.center.x:.2f}, {surface.center.y:.2f}, {surface.center.z:.2f})")
-    c = surface.candidates[best[3]]
-    return GotoCommand(c.position, c.psi, c.theta, best[0])
+            f"all {len(grid)} candidates infeasible at "
+            f"({center.x:.2f}, {center.y:.2f}, {center.z:.2f})")
+    u, _dpsi, _dtheta, k = best
+    i, j = divmod(k, cols)
+    psi, cp, sp = surface.headings[i]
+    theta, _speed, rct, rdz, _vct, _vz = glides[j]
+    return GotoCommand(
+        Vec3(center.x + rct * cp, center.y + rct * sp, center.z + rdz),
+        psi, theta, u)

@@ -9,6 +9,7 @@ class attribute so the files double as structured, testable output.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Sequence
 
 from mppf.environment import SPHERE, Bounds, Obstacle
@@ -69,14 +70,52 @@ def _nearest_samples(samples, obstacles: Sequence[Obstacle]) -> list[int]:
     The distances are the same ``sqrt`` values ``Vec3.hdist`` returns, so
     ties break on the same first index. Squared distances would not do:
     two different squares can have one root, and then a later sample wins.
+
+    The samples go into square x-y buckets, about sqrt(n) of them across
+    the samples' wider extent. Each bucket keeps its samples' indices in
+    order and their bounding box. An obstacle visits the buckets in order
+    of its distance to their boxes and stops at the first box farther than
+    the best sample so far. That distance is computed like a sample's, on
+    coordinates no nearer the obstacle, so rounding keeps it at or below
+    every sample's in the box: no unvisited sample is as near as the best.
     """
     xy = [(smp.position.x, smp.position.y) for smp in samples]
+    xs = [x for x, _ in xy]
+    ys = [y for _, y in xy]
+    x0, y0 = min(xs), min(ys)
+    across = math.isqrt(len(xy))
+    size = max(max(xs) - x0, max(ys) - y0) / across or 1.0
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for i, (x, y) in enumerate(xy):
+        # min() also sends an overflowed (inf or nan) quotient to the edge
+        key = (int(min(across, (x - x0) / size)),
+               int(min(across, (y - y0) / size)))
+        buckets.setdefault(key, []).append(i)
+    boxes = []
+    for members in buckets.values():
+        bx = [xs[i] for i in members]
+        by = [ys[i] for i in members]
+        boxes.append((min(bx), max(bx), min(by), max(by), members))
+
     nearest = []
     for ob in obstacles:
         cx, cy = ob.center.x, ob.center.y
-        d = [math.sqrt((x - cx) * (x - cx) + (y - cy) * (y - cy))
-             for x, y in xy]
-        nearest.append(d.index(min(d)))
+        order = []
+        for bx0, bx1, by0, by1, members in boxes:
+            dx = bx0 - cx if cx < bx0 else cx - bx1 if cx > bx1 else 0.0
+            dy = by0 - cy if cy < by0 else cy - by1 if cy > by1 else 0.0
+            order.append((math.sqrt(dx * dx + dy * dy), members))
+        order.sort(key=itemgetter(0))
+        best, first = math.inf, -1
+        for bound, members in order:
+            if bound > best:
+                break
+            for i in members:
+                x, y = xy[i]
+                d = math.sqrt((x - cx) * (x - cx) + (y - cy) * (y - cy))
+                if d < best or d == best and (first < 0 or i < first):
+                    best, first = d, i
+        nearest.append(first)
     return nearest
 
 

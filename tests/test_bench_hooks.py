@@ -15,7 +15,13 @@ import pytest
 
 from mppf import _kernels
 from mppf.geometry import Attitude, GliderSpec, GliderState, Vec3, build_sample_surface
-from mppf.potentials import ObstaclePoint, PotentialParams, grid_potentials, select_goto
+from mppf.potentials import (
+    ObstaclePoint,
+    PotentialParams,
+    grid_potentials,
+    select_goto,
+    total_potential,
+)
 
 MISSIONBENCH = Path(__file__).resolve().parent.parent / "missionbench"
 
@@ -43,7 +49,7 @@ def test_select_goto_keeps_the_parameter_names_the_probe_binds():
 def test_kernel_keeps_the_leading_parameters_the_probe_reads():
     # the probe multiplies args[0] by args[6]; args[7] is the points scored
     assert list(inspect.signature(_kernels.total_potential_grid).parameters)[:8] == [
-        "n", "candidates", "gx", "gy", "gz", "flow", "m", "points"]
+        "n", "surface", "gx", "gy", "gz", "flow", "m", "points"]
 
 
 def test_kernel_args_carry_the_counts_the_probe_multiplies(monkeypatch):
@@ -64,11 +70,15 @@ def test_kernel_args_carry_the_counts_the_probe_multiplies(monkeypatch):
         return out
 
     monkeypatch.setattr(_kernels, "total_potential_grid", spy)
-    grid = grid_potentials(surf, Vec3(90.0, 90.0, 5.0), points,
-                           Vec3(0.1, 0.0, 0.0), PotentialParams(), "advanced")
+    goal, flow, params = Vec3(90.0, 90.0, 5.0), Vec3(0.1, 0.0, 0.0), PotentialParams()
+    grid = grid_potentials(surf, goal, points, flow, params, "advanced")
     ((args, out),) = seen
     # one score per candidate, returned as grid_potentials' own result
-    assert out is grid and len(out) == len(args[1]) == len(surf.candidates)
+    assert args[1] is surf
+    assert out is grid and len(out) == len(surf.candidates)
+    for c, u in zip(surf.candidates, out):
+        assert u.hex() == total_potential(c.position, c.velocity, goal, points,
+                                          flow, params, "advanced").hex()
     assert args[0] == len(surf.candidates) == 25
     # the probe's pairs count, args[0] * args[6], is the pairs scored
     assert args[6] == len(args[7]) == 7

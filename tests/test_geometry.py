@@ -1,5 +1,5 @@
 """Sample-surface construction, the angle/vector helpers under it, and the
-hand-written value types Vec3 and Candidate."""
+value types Vec3 (hand-written) and Candidate."""
 
 import ast
 import math
@@ -293,11 +293,10 @@ def test_the_field_guard_sees_every_kind_of_write():
 
 
 def test_nothing_assigns_the_fields_of_vec3_or_candidate():
-    # Vec3 and Candidate no longer refuse assignment, and ZERO is shared by
-    # every caller: only their own __init__ may write these names
-    allowed = {("src/mppf/geometry.py", "Vec3.__init__"): {"x", "y", "z"},
-               ("src/mppf/geometry.py", "Candidate.__init__"):
-                   {"position", "velocity", "psi", "theta", "speed"}}
+    # Vec3 does not refuse assignment, and ZERO is shared by every caller:
+    # only its own __init__ may write these names. Candidate is a frozen
+    # dataclass again, but nothing should try either.
+    allowed = {("src/mppf/geometry.py", "Vec3.__init__"): {"x", "y", "z"}}
     seen = {key: set() for key in allowed}
     writes = []
     for path in sorted([*(ROOT / "src" / "mppf").rglob("*.py"),
@@ -309,4 +308,4 @@ def test_nothing_assigns_the_fields_of_vec3_or_candidate():
             else:
                 writes.append(f"{rel}:{line} {scope or '<module>'} writes .{name}")
     assert writes == []
-    assert seen == allowed  # the walk does reach the two constructors
+    assert seen == allowed  # the walk does reach Vec3's constructor

@@ -2,9 +2,10 @@
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mppf import _kernels
@@ -19,6 +20,7 @@ from mppf.geometry import (
     spherical_to_cartesian,
 )
 from mppf.potentials import (
+    GotoCommand,
     ObstaclePoint,
     PotentialParams,
     grid_potentials,
@@ -28,6 +30,7 @@ from mppf.potentials import (
 
 SPEC = GliderSpec()
 PARAMS = PotentialParams()
+FLAT = PotentialParams(xi=0.0)  # no attraction: unblocked candidates tie
 ZERO = Vec3(0.0, 0.0, 0.0)
 
 
@@ -173,8 +176,9 @@ def test_point_filter_leaves_every_score_bit_identical(case):
     n = len(surf.candidates)
     for mode in ("baseline", "advanced"):
         want = _kernels.total_potential_grid(
-            n, surf.candidates, goal.x, goal.y, goal.z, flow, len(points),
+            n, surf, goal.x, goal.y, goal.z, flow, len(points),
             points, PARAMS, mode == "advanced")
+        assert len(want) == n == 25
         got = grid_potentials(surf, goal, points, flow, PARAMS, mode)
         assert [u.hex() for u in got] == [u.hex() for u in want]
         for c, u in zip(surf.candidates, want):
@@ -245,6 +249,139 @@ def test_coincident_sample_point_is_infinite_and_skipped():
     assert math.isinf(grid[idx[0]])
     cmd = select_goto(surf, Vec3(90, 50, 10), pts, ZERO, PARAMS, "baseline", 30.0)
     assert cmd.target != target
+
+
+# --- selection from the fan's rows --------------------------------------------
+
+def reference_select(surface, goal, points, flow, params, mode, max_depth):
+    """select_goto as a loop over built Candidates: the depth test, the tie
+    key and the message, one candidate at a time."""
+    grid = grid_potentials(surface, goal, points, flow, params, mode)
+    att = surface.attitude
+    best = None
+    for i, c in enumerate(surface.candidates):
+        if c.position.z < 0.0 or c.position.z > max_depth:
+            continue
+        u = grid[i]
+        if math.isinf(u) or best is not None and u > best[0]:
+            continue
+        key = (u, abs(angle_diff(c.psi, att.psi)), abs(c.theta - att.theta), i)
+        if best is None or key < best:
+            best = key
+    if best is None:
+        raise NoFeasibleWaypoint(
+            f"all {len(surface.candidates)} candidates infeasible at "
+            f"({surface.center.x:.2f}, {surface.center.y:.2f}, "
+            f"{surface.center.z:.2f})")
+    c = surface.candidates[best[3]]
+    return GotoCommand(c.position, c.psi, c.theta, best[0])
+
+
+def command_bits(cmd):
+    t = cmd.target
+    return tuple(float.hex(v) for v in (t.x, t.y, t.z, cmd.psi_d, cmd.theta_d,
+                                        cmd.potential))
+
+
+def outcome(select, *args):
+    """The command's bits, or the message of NoFeasibleWaypoint."""
+    try:
+        return command_bits(select(*args))
+    except NoFeasibleWaypoint as e:
+        return str(e)
+
+
+def rows_only(surf):
+    """The surface without its candidates property: only the fields the
+    hot path may read."""
+    return SimpleNamespace(center=surf.center, attitude=surf.attitude,
+                           headings=surf.headings, glides=surf.glides,
+                           reach=surf.reach)
+
+
+def test_selection_never_reads_the_built_candidates():
+    rng = random.Random(13)
+    for _ in range(100):
+        center = Vec3(rng.uniform(20, 80), rng.uniform(20, 80), rng.uniform(0, 30))
+        surf = surface_at(center, rng.uniform(-math.pi, math.pi),
+                          rng.uniform(-0.7, 0.7))
+        goal = Vec3(rng.uniform(0, 100), rng.uniform(0, 100), rng.uniform(0, 30))
+        pts = random_points(rng, center, rng.randrange(1, 8))
+        flow = Vec3(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), 0.0)
+        for mode in ("baseline", "advanced"):
+            args = (goal, pts, flow, PARAMS, mode, 30.0)
+            want = outcome(select_goto, surf, *args)
+            assert outcome(select_goto, rows_only(surf), *args) == want
+            assert outcome(reference_select, surf, *args) == want
+
+
+@st.composite
+def selection_cases(draw):
+    """A fan near the surface, near max_depth, or wholly out of range, so
+    that whole glide rows (or all of them) are infeasible; points, some
+    exactly on candidates; a goal that may sit on the center, where
+    mirrored candidates tie exactly, and gains that may be flat (no
+    attraction), where every unblocked candidate ties in baseline mode."""
+    spec = GliderSpec(speed_down=draw(floats(0.05, 2.0)),
+                      speed_up=draw(floats(0.05, 2.0)),
+                      max_glide_angle=draw(floats(0.05, 1.5)))
+    dt = draw(floats(0.1, 10.0))
+    max_depth = draw(floats(0.5, 60.0))
+    reach = max(spec.speed_down, spec.speed_up) * dt
+    near = draw(floats(-1.5, 1.5)) * reach
+    z = draw(st.sampled_from((abs(near), abs(near), max_depth - near,
+                              max_depth - near,
+                              max_depth + 1.5 * reach + abs(near))))
+    theta = draw(floats(-spec.max_glide_angle, spec.max_glide_angle))
+    center = Vec3(draw(floats(-50.0, 150.0)), draw(floats(-50.0, 150.0)), z)
+    surf = build_sample_surface(
+        GliderState(center, Attitude(draw(floats(-4.0, 4.0)), theta),
+                    spec.speed_for(theta)), spec, dt)
+    cands = surf.candidates
+    points = []
+    for _ in range(draw(st.integers(0, 6))):
+        c = draw(st.sampled_from(cands))
+        pos = c.position
+        if draw(st.booleans()):
+            pos = pos + draw(unit_vectors()) * draw(floats(0.0, 3.0 * reach))
+        vel = draw(unit_vectors()) * draw(floats(0.0, 1.0))
+        # a tiny influence blocks its candidate and leaves the ties alone
+        influence = draw(st.sampled_from((1e-3, "any")))
+        if influence == "any":
+            influence = draw(floats(0.5, 10.0))
+        points.append(ObstaclePoint(pos, vel, influence, 0.5 * influence))
+    goal = draw(st.sampled_from((center, "any")))
+    if goal == "any":
+        goal = Vec3(draw(floats(-50.0, 150.0)), draw(floats(-50.0, 150.0)),
+                    draw(floats(0.0, 60.0)))
+    flow = draw(st.sampled_from((ZERO, "any")))
+    if flow == "any":
+        flow = Vec3(draw(floats(-0.5, 0.5)), draw(floats(-0.5, 0.5)),
+                    draw(floats(-0.1, 0.1)))
+    params = draw(st.sampled_from((PARAMS, FLAT)))
+    return surf, goal, points, flow, params, max_depth
+
+
+@settings(max_examples=400, deadline=None)
+@given(selection_cases(), st.sampled_from(("baseline", "advanced")))
+@example((surface_at(Vec3(50.0, 50.0, 10.0)), Vec3(50.0, 50.0, 10.0), [],
+          ZERO, PARAMS, 30.0), "baseline")
+@example((surface_at(Vec3(50.0, 50.0, 0.2)), Vec3(50.0, 50.0, 0.2), [],
+          Vec3(0.2, 0.1, 0.0), PARAMS, 30.0), "advanced")
+@example((surface_at(Vec3(50.0, 50.0, 5.0)), Vec3(90.0, 50.0, 0.0), [],
+          ZERO, PARAMS, 1.0), "baseline")
+# every candidate scores 0.0; with the straight-ahead level one blocked,
+# the heading change outranks the glide change
+@example((surface_at(Vec3(50.0, 50.0, 10.0)), Vec3(90.0, 50.0, 10.0),
+          [ObstaclePoint(surface_at(Vec3(50.0, 50.0, 10.0)).candidates[12].position,
+                         ZERO, 1e-3, 1e-3)], ZERO, FLAT, 30.0), "baseline")
+def test_factored_selection_matches_the_candidate_loop(case, mode):
+    surf, goal, points, flow, params, max_depth = case
+    args = (goal, points, flow, params, mode, max_depth)
+    assert outcome(select_goto, surf, *args) == outcome(
+        reference_select, surf, *args)
+    assert outcome(select_goto, rows_only(surf), *args) == outcome(
+        select_goto, surf, *args)
 
 
 # --- mode gating -----------------------------------------------------------
