@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 from collections.abc import Container
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -43,20 +44,40 @@ from mppf.sawtooth import SawtoothParams
 SCHEMA_VERSION = 1
 RNG_NAME = "python-random-mt19937"
 
+
+class _PureLoader(yaml.SafeLoader):
+    """PyYAML's pure loader, which stops a deep flow nesting in its scanner.
+
+    The scanner reads ahead through every ``[`` or ``{`` that may start a
+    simple key, re-checking each open one per token, so the pure
+    SafeLoader spends time quadratic in the depth before its composer
+    raises RecursionError. The composer takes two frames per level, so no
+    nesting deeper than half the recursion limit can compose: refusing it
+    in the scanner changes no answer, and the load fails at once with the
+    composer's own error.
+    """
+
+    def fetch_flow_collection_start(self, TokenClass):
+        if self.flow_level >= sys.getrecursionlimit() // 2:
+            raise RecursionError("flow collections nested too deeply")
+        super().fetch_flow_collection_start(TokenClass)
+
+
 if yaml.__with_libyaml__:
     class _Loader(Composer, yaml.CSafeLoader):
         """libyaml's C scanner and parser under PyYAML's Python composer.
 
         libyaml's own composer recurses in C, so a deeply nested document
         overflows the C stack and kills the process; the Python composer
-        raises RecursionError at the same depth as the pure SafeLoader.
+        raises RecursionError instead, a few levels deeper than under
+        _PureLoader, whose parser's frames sit above the composer's.
         """
 
         def __init__(self, stream):
             yaml.CSafeLoader.__init__(self, stream)
             Composer.__init__(self)
 else:
-    _Loader = yaml.SafeLoader
+    _Loader = _PureLoader
 
 
 @dataclass(frozen=True)

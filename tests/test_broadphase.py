@@ -5,16 +5,21 @@ hull clearance, world advance) must give what a linear scan over all
 obstacles gives, bit for bit, whatever the cell size. Fields mix static
 and moving spheres with pillars, and an obstacle may sit exactly at a
 query's reach, as far out as rounding lets it count, with its center on a
-cell edge, where a grid that pads its query too little misses it.
+cell edge, where a grid that pads its query too little misses it. One
+index queried along a walk must stay exact while it reuses its skin
+lists, wherever the walk goes next.
 """
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mppf import harness
 from mppf.environment import (
+    _SKIN,
     Bounds,
     Obstacle,
     ObstacleIndex,
@@ -29,11 +34,15 @@ from mppf.environment import (
     visible_obstacles,
 )
 from mppf.geometry import ZERO, Attitude, GliderState, Vec3
+from mppf.scenario import load_scenario, materialize_obstacles
 
 BOUNDS = Bounds(200.0, 200.0, 50.0)
 HULL = 0.6
 # powers of two, so a center placed on a cell edge is exactly on it
 CELLS = (0.5, 2.0, 8.0, 16.0, 64.0)
+# heading that faces along +-x or +-y
+FACING = {("x", 1.0): 0.0, ("x", -1.0): math.pi,
+          ("y", 1.0): 0.5 * math.pi, ("y", -1.0): -0.5 * math.pi}
 
 
 def floats(lo, hi):
@@ -82,8 +91,7 @@ def edge_case(draw, g, cell, reach, counts):
     grid whose query pad lacks its margin misses the obstacle there."""
     r = draw(floats(0.2, 15.0))
     axis, sign = draw(st.sampled_from("xy")), draw(st.sampled_from((-1.0, 1.0)))
-    psi = {("x", 1.0): 0.0, ("x", -1.0): math.pi,
-           ("y", 1.0): 0.5 * math.pi, ("y", -1.0): -0.5 * math.pi}[axis, sign]
+    psi = FACING[axis, sign]
     edge = round((getattr(g.position, axis) + sign * (reach + r)) / cell) * cell
     if sign < 0.0:  # cells are closed below: go to the last float under it
         edge = math.nextafter(edge, -math.inf)
@@ -222,3 +230,149 @@ def test_clearance_and_advance_match_a_scan(case, data):
                  for ob in world.obstacles]
         world = advance_world(world, world.glider, dt)
         assert list(map(bits, world.obstacles)) == list(map(bits, moved))
+
+
+# --- skin lists: one index along a walk ------------------------------------
+
+def check_every_pass(world, sonars, culls, tracked):
+    """Visibility, the cull and clearance at the world's vehicle, each
+    against a linear scan, bit for bit; `tracked` is a second tracked set
+    besides none (visibility) and all (the cull)."""
+    obstacles, g = world.obstacles, world.glider
+    pos = g.position
+    want = min((surface_distance(ob, pos) - HULL for ob in obstacles),
+               default=math.inf)
+    assert world.clearance.hex() == want.hex()
+    assert glider_clearance(obstacles, world.index, pos, HULL).hex() == want.hex()
+    for sonar in sonars:
+        for seen in (frozenset(), tracked):
+            want = [i for i, ob in enumerate(obstacles)
+                    if i not in seen and in_sonar_view(ob, g, sonar, BOUNDS.depth)]
+            assert visible_obstacles(replace(world, tracked=seen), sonar) == want
+    for cull in culls:
+        for seen in (frozenset(range(len(obstacles))), tracked):
+            want = [i for i in sorted(seen)
+                    if surface_distance(obstacles[i], pos) <= cull]
+            assert obstacles_within(replace(world, tracked=seen), cull) == want
+
+
+def offset(p, dx, dy, dz):
+    return Vec3(p.x + dx, p.y + dy, min(50.0, max(0.0, p.z + dz)))
+
+
+@st.composite
+def edge_walk(draw, world, reaches):
+    """Four points about a static obstacle and one pass's reach: a jump
+    3 skins off; the anchor a, as far from the obstacle as lets the next
+    point stay within one skin of it; that point q, facing the obstacle at
+    the farthest position where the pass still counts it; and the first
+    float past one skin from a, toward the obstacle. Visited in order, a
+    rebuilds every list and q reuses them at the skin's edge: a list built
+    without its margin misses the obstacle there whenever rounding puts
+    its surface a hair past reach + skin from a."""
+    static = [i for i in range(len(world.obstacles)) if i not in world.index.moving]
+    ob = world.obstacles[draw(st.sampled_from(static))]
+    reach, counts = draw(st.sampled_from(reaches))
+    axis, sign = draw(st.sampled_from("xy")), draw(st.sampled_from((-1.0, 1.0)))
+    psi = FACING[axis, sign]
+    c = ob.center
+    z = c.z if ob.shape == "sphere" else draw(floats(0.0, 50.0))
+    g = GliderState(Vec3(c.x, c.y, z), Attitude(psi, 0.0), 0.3)
+    g = moved(g, axis, getattr(c, axis) - sign * (reach + ob.radius))
+    q = at_the_limit(g, axis, -sign * math.inf, lambda h: counts(ob, h))
+    a = at_the_limit(moved(q, axis, getattr(q.position, axis) - sign * _SKIN),
+                     axis, -sign * math.inf,
+                     lambda h: h.position.dist(q.position) <= _SKIN)
+    past, x = q, getattr(q.position, axis)
+    for _ in range(64):
+        if past.position.dist(a.position) > _SKIN:
+            break
+        x = math.nextafter(x, sign * math.inf)
+        past = moved(q, axis, x)
+    side = "y" if axis == "x" else "x"
+    jump = moved(a, side, getattr(a.position, side) + 3.0 * _SKIN)
+    return [jump, a, q, past]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_one_index_along_a_walk_matches_a_scan(data):
+    """An index keeps a skin list per reach and reuses it while the query
+    stays within one skin of the list's anchor. Along a walk of sub-metre
+    steps, jumps past the skin, returns near earlier points (old anchors)
+    and points exactly one skin from an anchor and one float past it, with
+    two sonar ranges and two cull radii besides the clearance's cell,
+    every pass must equal a linear scan at every point."""
+    draw = data.draw
+    cell = draw(st.sampled_from(CELLS))
+    sonars = [SonarModel(range=draw(floats(1.0, 120.0))) for _ in range(2)]
+    culls = [draw(floats(0.5, 40.0)) for _ in range(2)]
+    obstacles = draw(st.lists(free_obstacle(), min_size=1, max_size=20))
+    g = GliderState(Vec3(draw(floats(0.0, 200.0)), draw(floats(0.0, 200.0)),
+                         draw(floats(0.0, 50.0))), Attitude(0.0, 0.0), 0.3)
+    world = WorldState(g, tuple(obstacles), None, BOUNDS, HULL,
+                       index=ObstacleIndex(obstacles, cell))
+    has_static = len(world.index.moving) < len(obstacles)
+    reaches = ([(s.range, in_view(s)) for s in sonars]
+               + [(r, within(r)) for r in culls] + [(cell, within(cell))])
+    visited = [g.position]
+    for _ in range(draw(st.integers(4, 14))):
+        p = world.glider.position
+        kind = draw(st.sampled_from(("step", "jump", "back", "edge")))
+        if kind == "edge" and has_static:
+            walk = draw(edge_walk(world, reaches))
+        else:
+            if kind == "step":
+                to = offset(p, *(draw(floats(-0.5, 0.5)) for _ in range(3)))
+            elif kind == "back":
+                to = offset(draw(st.sampled_from(visited)),
+                            *(draw(floats(-0.5, 0.5)) * _SKIN for _ in range(3)))
+            else:
+                angle = draw(floats(-math.pi, math.pi))
+                length = draw(floats(_SKIN, 4.0 * _SKIN))
+                to = offset(p, length * math.cos(angle), length * math.sin(angle),
+                            draw(floats(-5.0, 5.0)))
+            walk = [GliderState(to, Attitude(draw(floats(-math.pi, math.pi)),
+                                             draw(floats(-0.7, 0.7))), 0.3)]
+        for k, g in enumerate(walk):
+            world = advance_world(world, g, draw(floats(0.1, 30.0)))
+            visited.append(g.position)
+            check_every_pass(world, sonars, culls,
+                             frozenset(draw(tracked_sets(len(obstacles)))))
+            if len(walk) == 4 and k == 1:  # the anchor: every list rebuilt here
+                assert {a for a, _ in world.index.lists.values()} == {g.position}
+        if len(walk) == 4:
+            _, a, q, past = (h.position for h in walk)
+            assert a.dist(q) <= _SKIN < a.dist(past)
+
+
+SCENE = Path(__file__).parents[1] / "missionbench" / "anchorage.yaml"
+
+
+def test_a_mission_keeps_one_skin_list_per_pass_reach(monkeypatch):
+    """A whole anchorage mission ends with one list per reach the passes
+    use (sonar range, cull radius, the index's cell) and rebuilds them
+    rarely: a reach that changed every step would keep adding lists and
+    never reuse one."""
+    sc = load_scenario(SCENE)
+    seen = {}
+    rebuilds = []
+    sense = harness.visible_obstacles
+    within_reach = ObstacleIndex._static_within
+
+    def spy(world, sonar):
+        seen["index"] = world.index
+        return sense(world, sonar)
+
+    def counted(index, p, reach):
+        rebuilds.append(reach)
+        return within_reach(index, p, reach)
+
+    monkeypatch.setattr(harness, "visible_obstacles", spy)
+    monkeypatch.setattr(ObstacleIndex, "_static_within", counted)
+    res = harness.run_scenario(sc)
+    steps = len(res.trajectory) - 1
+    index = seen["index"]
+    cull = harness.cull_radius(sc, materialize_obstacles(sc, sc.seed))
+    assert set(index.lists) == {sc.sonar.range, cull, index.cell}
+    assert steps > 300 and len(rebuilds) <= steps // 10

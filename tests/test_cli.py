@@ -194,11 +194,11 @@ def test_deeply_nested_yaml_rejected_by_every_subcommand(tmp_path, capsys):
 def test_deeply_nested_yaml_rejected_by_the_fallback_loader(tmp_path, capsys,
                                                             monkeypatch):
     # the loader that runs where PyYAML was built without libyaml
-    monkeypatch.setattr(scenario, "_Loader", yaml.SafeLoader)
+    monkeypatch.setattr(scenario, "_Loader", scenario._PureLoader)
     test_deeply_nested_yaml_rejected_by_every_subcommand(tmp_path, capsys)
 
 
-@pytest.mark.parametrize("loader", [scenario._Loader, yaml.SafeLoader],
+@pytest.mark.parametrize("loader", [scenario._Loader, scenario._PureLoader],
                          ids=["default", "pure"])
 def test_deeply_nested_schema_version_rejected(tmp_path, capsys, monkeypatch,
                                                loader):
@@ -217,10 +217,10 @@ def test_deeply_nested_schema_version_rejected(tmp_path, capsys, monkeypatch,
 # In a child process, so that a composer recursing on the C stack kills
 # the child with a signal instead of the test run.
 CHILD = """
-import sys, yaml
+import sys
 from mppf import cli, scenario
 if sys.argv[2] == "pure":
-    scenario._Loader = yaml.SafeLoader
+    scenario._Loader = scenario._PureLoader
 sys.exit(cli.main(["validate", "--scenario", sys.argv[1]]))
 """
 

@@ -1,6 +1,7 @@
 """Scenario schema: problem reports, the dict round trip, non-finite input."""
 
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -272,12 +273,42 @@ def test_libyaml_parses_when_pyyaml_has_it():
 def test_both_loaders_read_the_same_scenario(path, monkeypatch):
     raw = path.read_bytes()
     fast = yaml.load(raw, Loader=scenario._Loader)
-    pure = yaml.load(raw, Loader=yaml.SafeLoader)
-    assert fast == pure and repr(fast) == repr(pure)  # repr tells 1 from 1.0
+    for loader in (scenario._PureLoader, yaml.SafeLoader):
+        pure = yaml.load(raw, Loader=loader)
+        assert fast == pure and repr(fast) == repr(pure)  # repr tells 1 from 1.0
     sc = load_scenario(path)
-    monkeypatch.setattr(scenario, "_Loader", yaml.SafeLoader)
+    monkeypatch.setattr(scenario, "_Loader", scenario._PureLoader)
     pure_sc = load_scenario(path)
     assert pure_sc == sc and scenario_hash(pure_sc) == scenario_hash(sc)
+
+
+def composes(loader, text):
+    try:
+        yaml.load(text, Loader=loader)
+    except RecursionError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("open_, close", [("[", "]"), ("{a: ", "}")],
+                         ids=["sequences", "mappings"])
+def test_the_pure_loader_composes_as_deep_as_safeloader(open_, close):
+    """The pure loader's scanner refuses only nestings no composer reaches:
+    called from the same frame, the deepest flow nesting it composes is
+    SafeLoader's deepest, and one level more fails in both."""
+    def nested(depth):
+        return "a: " + open_ * depth + close * depth + "\n"
+    lo, hi = 1, sys.getrecursionlimit()
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if composes(scenario._PureLoader, nested(mid)):
+            lo = mid
+        else:
+            hi = mid - 1
+    assert lo > 100
+    assert composes(yaml.SafeLoader, nested(lo))
+    assert not composes(yaml.SafeLoader, nested(lo + 1))
+    assert not composes(scenario._PureLoader, nested(lo + 1))
 
 
 # --- non-finite numbers -----------------------------------------------------
