@@ -306,13 +306,14 @@ def visible_obstacles(world: WorldState, sonar: SonarModel) -> list[int]:
             if i not in tracked and in_sonar_view(obstacles[i], g, sonar, depth)]
 
 
-def obstacles_within(world: WorldState, reach: float) -> list[int]:
-    """Sorted members of `world.tracked` whose surface lies within `reach`
-    of the vehicle; only the index's candidates within reach are tested."""
+def obstacles_within(world: WorldState, reach: float) -> dict[int, float]:
+    """The members of `world.tracked` whose surface lies within `reach` of
+    the vehicle, each mapped to that surface distance, in index order; only
+    the index's candidates within reach are tested."""
     p = world.glider.position
     obstacles, tracked = world.obstacles, world.tracked
-    return [i for i in world.index.near(p, reach)
-            if i in tracked and surface_distance(obstacles[i], p) <= reach]
+    return {i: d for i in world.index.near(p, reach)
+            if i in tracked and (d := surface_distance(obstacles[i], p)) <= reach}
 
 
 def surface_points(world: WorldState, indices, sonar: SonarModel) -> list[ObstaclePoint]:

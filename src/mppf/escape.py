@@ -68,16 +68,30 @@ def critical_zone_radius(source_radius: float, body_radius: float,
     return source_radius + body_radius + config.cz_margin
 
 
-def obstacles_in_critical_zone(points: Sequence[ObstaclePoint], position: Vec3,
-                               body_radius: float, config: EscapeConfig) -> bool:
-    """True when the nearest sensed point is inside its critical zone."""
+def nearest_point(points: Sequence[ObstaclePoint],
+                  position: Vec3) -> tuple[float, ObstaclePoint | None]:
+    """The point nearest to position, the first of equals, and its
+    distance (Vec3.dist's arithmetic, inlined); (inf, None) for no points."""
     best = None
     best_d = math.inf
+    x, y, z = position.x, position.y, position.z
+    sqrt = math.sqrt
     for p in points:
-        d = position.dist(p.position)
+        q = p.position
+        dx = x - q.x
+        dy = y - q.y
+        dz = z - q.z
+        d = sqrt(dx * dx + dy * dy + dz * dz)
         if d < best_d:
             best_d = d
             best = p
+    return best_d, best
+
+
+def obstacles_in_critical_zone(points: Sequence[ObstaclePoint], position: Vec3,
+                               body_radius: float, config: EscapeConfig) -> bool:
+    """True when the nearest sensed point is inside its critical zone."""
+    best_d, best = nearest_point(points, position)
     if best is None:
         return False
     return best_d <= critical_zone_radius(best.source_radius, body_radius, config)

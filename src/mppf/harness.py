@@ -23,6 +23,7 @@ from mppf import escape as esc
 from mppf import sawtooth as saw
 from mppf.environment import (
     Obstacle,
+    SonarModel,
     WorldState,
     advance_world,
     flow_velocity,
@@ -34,7 +35,7 @@ from mppf.environment import (
 )
 from mppf.errors import NoFeasibleWaypoint, TrappedError
 from mppf.geometry import Attitude, GliderState, Vec3, build_sample_surface
-from mppf.potentials import MODES, select_goto
+from mppf.potentials import MODES, ObstaclePoint, select_goto
 from mppf.scenario import (
     RNG_NAME,
     Scenario,
@@ -90,7 +91,10 @@ class CompareResult:
 
 
 def cull_radius(scenario: Scenario, obstacles: Sequence[Obstacle]) -> float:
-    """Surface distance beyond which a tracked obstacle cannot matter.
+    """Surface distance beyond which a tracked obstacle cannot matter to
+    any reader of a step's samples. run_scenario culls the tracked
+    obstacles to it, and each reader then samples only the culled ones it
+    can need (_Samples).
 
     Every sample point of an obstacle lies at least its surface distance
     from the vehicle, and the planner reads a point only when it is within
@@ -104,7 +108,8 @@ def cull_radius(scenario: Scenario, obstacles: Sequence[Obstacle]) -> float:
     one constant for all obstacles because the critical-zone test judges
     only the nearest point: a small obstacle's point outside its own zone
     can still mask a large obstacle's zone, so it must stay whenever the
-    large one could matter. The final 1 m absorbs rounding.
+    large one could matter, and the nearest-first search over the cull
+    keeps it whenever it is the nearest. The final 1 m absorbs rounding.
     """
     spec, cfg = scenario.glider, scenario.escape
     r_max = max((ob.radius for ob in obstacles), default=0.0)
@@ -114,6 +119,92 @@ def cull_radius(scenario: Scenario, obstacles: Sequence[Obstacle]) -> float:
                esc.critical_zone_radius(r_max, hull, cfg),
                hull + cfg.overhead_pad + r_max + hull
                + cfg.overhead_clearance) + 1.0
+
+
+def kernel_reaches(scenario: Scenario, obstacles: Sequence[Obstacle]) -> list[float]:
+    """Per obstacle, the surface distance within which its points can reach
+    the kernel: 2(r + hull) + step reach + 2 m.
+
+    grid_potentials hands the kernel a point only within its influence
+    radius 2(r + hull) + the fan's reach + 1 m of the vehicle; the fan
+    reaches no farther than the step reach, and every sample point lies at
+    least its obstacle's surface distance away. The other 1 m absorbs
+    rounding, so sampling only these obstacles hands the kernel the same
+    points, in the same order.
+    """
+    spec = scenario.glider
+    reach = max(spec.speed_down, spec.speed_up) * scenario.dt
+    return [2.0 * (ob.radius + spec.body_radius) + reach + 2.0
+            for ob in obstacles]
+
+
+class _Samples(dict):
+    """One step's surface points, sampled for each reader as it asks.
+
+    `near` maps each culled obstacle (obstacles_within at cull_radius) to
+    its surface distance, in index order. Every sample point of an
+    obstacle lies at least that distance from the vehicle, which bounds
+    what each reader can need:
+
+    - critical_zone: the nearest point decides, the first in index order
+      among equals. Obstacles are visited by (surface distance, index)
+      until the next one's surface distance exceeds the best point
+      distance so far + 1 m: its points, and every later obstacle's, lie
+      farther than the best, so they can neither beat it nor tie it.
+    - kernel: the obstacles within their kernel reach (kernel_reaches),
+      so grid_potentials hands the kernel the points it gets from all.
+    - column: every culled obstacle, for the escape's start.
+
+    Each reader gets its obstacles' points in index order. The 1 m margins
+    absorb rounding, so every reader's answer is the one it gives over
+    all culled points. The mapping holds each obstacle's points from its
+    first read, so no obstacle is sampled twice in a step.
+    """
+
+    __slots__ = ("world", "sonar", "near")
+
+    def __init__(self, world: WorldState, sonar: SonarModel,
+                 near: dict[int, float]):
+        self.world = world
+        self.sonar = sonar
+        self.near = near
+
+    def __missing__(self, i: int) -> list[ObstaclePoint]:
+        pts = self[i] = surface_points(self.world, (i,), self.sonar)
+        return pts
+
+    def critical_zone(self) -> list[ObstaclePoint]:
+        near = self.near
+        if len(near) == 1:
+            (i,) = near
+            return self[i]
+        pos = self.world.glider.position
+        order = sorted(near, key=near.__getitem__)  # stable: ties by index
+        best = math.inf
+        for k in range(1, len(order)):
+            best = min(best, esc.nearest_point(self[order[k - 1]], pos)[0])
+            if near[order[k]] > best + 1.0:
+                del order[k:]
+                break
+        order.sort()
+        return self.points(order)
+
+    def kernel(self, reaches: Sequence[float]) -> list[ObstaclePoint]:
+        out = []
+        for i, d in self.near.items():
+            if d <= reaches[i]:
+                out += self[i]
+        return out
+
+    def column(self) -> list[ObstaclePoint]:
+        return self.points(self.near)
+
+    def points(self, indices) -> list[ObstaclePoint]:
+        """The points of the obstacles `indices`, in that order."""
+        out = []
+        for i in indices:
+            out += self[i]
+        return out
 
 
 def run_scenario(scenario: Scenario, *, mode: str | None = None,
@@ -141,6 +232,7 @@ def run_scenario(scenario: Scenario, *, mode: str | None = None,
     glider = GliderState(scenario.start, Attitude(psi0, 0.0), 0.0, "follow")
     obstacles = materialize_obstacles(scenario, seed)
     cull = cull_radius(scenario, obstacles)
+    kernel_reach = kernel_reaches(scenario, obstacles)
     world = WorldState(glider, obstacles, scenario.flow, scenario.bounds,
                        spec.body_radius)
     est = esc.EscapeState()
@@ -170,11 +262,13 @@ def run_scenario(scenario: Scenario, *, mode: str | None = None,
         seen = visible_obstacles(world, scenario.sonar)
         if seen:
             world = replace(world, tracked=world.tracked.union(seen))
+        # each reader samples only the culled obstacles it can need; an
+        # empty cull leaves every reader with no points and in_cz False
         near = obstacles_within(world, cull)
-        points = surface_points(world, near, scenario.sonar)
+        samples = _Samples(world, scenario.sonar, near) if near else None
         flow_here = flow_velocity(world.flow, g.position)
-        in_cz = esc.obstacles_in_critical_zone(points, g.position,
-                                               world.body_radius, cfg_escape)
+        in_cz = samples is not None and esc.obstacles_in_critical_zone(
+            samples.critical_zone(), g.position, world.body_radius, cfg_escape)
 
         # decide: a planner command, or None and the escape's next glider
         if est.mode != "inactive" and not in_cz:
@@ -187,16 +281,18 @@ def run_scenario(scenario: Scenario, *, mode: str | None = None,
                 est.progress_history, in_cz, cfg_escape):
             try:
                 cmd = select_goto(build_sample_surface(g, spec, dt),
-                                  plan.active_waypoint, points, flow_here,
-                                  scenario.potentials, mode, spec.max_depth)
+                                  plan.active_waypoint,
+                                  samples.kernel(kernel_reach) if near else [],
+                                  flow_here, scenario.potentials, mode,
+                                  spec.max_depth)
             except NoFeasibleWaypoint:
                 pass  # no candidate left: escape as from a stall
         if cmd is None:
             try:
                 if est.mode == "inactive":
                     direction = esc.choose_direction(
-                        g.position, points, cfg_escape, world.body_radius,
-                        spec.max_depth)
+                        g.position, samples.column() if near else [],
+                        cfg_escape, world.body_radius, spec.max_depth)
                     est = esc.start_escape(g, direction, cfg_escape, est)
                     events.append((world.time, f"escape_start:{direction}"))
                 escaped, est = esc.escape_step(est, g, cfg_escape, flow_here,

@@ -204,10 +204,10 @@ def test_cull_matches_a_scan(case, data):
     obstacles, pos = world.obstacles, world.glider.position
     for tracked in (set(range(len(obstacles))),
                     data.draw(tracked_sets(len(obstacles)))):
-        want = [i for i in sorted(tracked)
-                if surface_distance(obstacles[i], pos) <= cull]
-        assert obstacles_within(replace(world, tracked=frozenset(tracked)),
-                                cull) == want
+        want = [(i, d) for i in sorted(tracked)
+                if (d := surface_distance(obstacles[i], pos)) <= cull]
+        got = obstacles_within(replace(world, tracked=frozenset(tracked)), cull)
+        assert list(got.items()) == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -251,9 +251,10 @@ def check_every_pass(world, sonars, culls, tracked):
             assert visible_obstacles(replace(world, tracked=seen), sonar) == want
     for cull in culls:
         for seen in (frozenset(range(len(obstacles))), tracked):
-            want = [i for i in sorted(seen)
-                    if surface_distance(obstacles[i], pos) <= cull]
-            assert obstacles_within(replace(world, tracked=seen), cull) == want
+            want = [(i, d) for i in sorted(seen)
+                    if (d := surface_distance(obstacles[i], pos)) <= cull]
+            got = obstacles_within(replace(world, tracked=seen), cull)
+            assert list(got.items()) == want
 
 
 def offset(p, dx, dy, dz):

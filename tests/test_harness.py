@@ -23,7 +23,7 @@ from mppf.harness import (
     run_scenario,
     summary_dict,
 )
-from mppf.potentials import select_goto
+from mppf.potentials import GotoCommand, select_goto
 from mppf.scenario import load_scenario, materialize_obstacles, scenario_from_dict
 
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
@@ -262,38 +262,79 @@ def test_trapped_choosing_a_direction_records_no_move(monkeypatch, traps):
 
 # --- decision replay -------------------------------------------------------
 
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (NoFeasibleWaypoint, TrappedError) as e:
+        return type(e)
+
+
 def test_logged_decisions_replay_exactly(monkeypatch):
-    """Every planner decision, replayed from the world it saw, against the
-    whole tracked set rather than the culled one, picks the same command."""
-    sc = scenario(CLUSTER)
-    seen = {"tracked": set()}
-    decisions = []
+    """Every step's decisions, replayed from the world it saw against the
+    points of the whole tracked set rather than the ones each reader
+    sampled, come out the same: the critical-zone flag, the planner's
+    outcome and the escape direction. No obstacle is sampled twice in a
+    step. static_cluster and concave_trap escape among spheres;
+    cylinder_flow escapes beside a pillar."""
+    steps = []
+    in_zone, choose = escape.obstacles_in_critical_zone, escape.choose_direction
 
     def visible(world, sonar):
         found = visible_obstacles(world, sonar)
-        seen["world"] = world
-        seen["tracked"] |= set(found)  # tracked once seen, as the harness does
+        # tracked once seen, as the harness does
+        steps.append({"world": world, "sampled": [],
+                      "tracked": sorted(world.tracked.union(found))})
         return found
 
-    def select(surface, waypoint, *args):
-        cmd = select_goto(surface, waypoint, *args)
-        decisions.append((seen["world"], waypoint, sorted(seen["tracked"]), cmd))
-        return cmd
+    def sample(world, indices, sonar):
+        steps[-1]["sampled"] += indices
+        return surface_points(world, indices, sonar)
+
+    def logged(key, fn):
+        def wrapper(*args):
+            steps[-1][key + "_args"] = args
+            try:
+                steps[-1][key] = fn(*args)
+            except (NoFeasibleWaypoint, TrappedError) as e:
+                steps[-1][key] = type(e)
+                raise
+            return steps[-1][key]
+        return wrapper
 
     monkeypatch.setattr(harness, "visible_obstacles", visible)
-    monkeypatch.setattr(harness, "select_goto", select)
-    res = run_scenario(sc)
-    follow = [s for s in res.trajectory[:-1] if s.mode == "follow"]
-    assert len(follow) == len(decisions) > 0
+    monkeypatch.setattr(harness, "surface_points", sample)
+    monkeypatch.setattr(harness, "select_goto", logged("goto", select_goto))
+    monkeypatch.setattr(escape, "obstacles_in_critical_zone",
+                        logged("in_cz", in_zone))
+    monkeypatch.setattr(escape, "choose_direction",
+                        logged("direction", choose))
+    for name in ("static_cluster", "concave_trap", "cylinder_flow"):
+        sc = load_scenario(SCENARIOS / f"{name}.yaml")
+        spec, cfg = sc.glider, sc.escape
+        steps.clear()
+        res = run_scenario(sc)
+        follow = [(s.position, s.u_min) for s in res.trajectory[:-1]
+                  if s.mode == "follow"]
+        moves = [(step["world"].glider.position, step["goto"].potential)
+                 for step in steps if isinstance(step.get("goto"), GotoCommand)]
+        assert follow == moves and moves
+        assert sum("direction" in step for step in steps) == res.escapes > 0
 
-    for sample, (world, waypoint, tracked, cmd) in list(zip(follow, decisions))[:120]:
-        assert sample.position == world.glider.position
-        assert sample.u_min == cmd.potential
-        pts = surface_points(world, tracked, sc.sonar)
-        surf = build_sample_surface(world.glider, sc.glider, sc.dt)
-        flow = flow_velocity(world.flow, world.glider.position)
-        assert select_goto(surf, waypoint, pts, flow, sc.potentials,
-                           "advanced", sc.glider.max_depth) == cmd
+        for step in steps:
+            world = step["world"]
+            pos, hull = world.glider.position, world.body_radius
+            assert len(set(step["sampled"])) == len(step["sampled"])
+            pts = surface_points(world, step["tracked"], sc.sonar)
+            assert step.get("in_cz", False) == in_zone(pts, pos, hull, cfg)
+            if "goto" in step:
+                waypoint = step["goto_args"][1]
+                assert step["goto"] == outcome(
+                    select_goto, build_sample_surface(world.glider, spec, sc.dt),
+                    waypoint, pts, flow_velocity(world.flow, pos),
+                    sc.potentials, sc.mode, spec.max_depth)
+            if "direction" in step:
+                assert step["direction"] == outcome(
+                    choose, pos, pts, cfg, hull, spec.max_depth)
 
 
 # --- outputs ---------------------------------------------------------------
