@@ -5,12 +5,19 @@ radius; one step moves it by its still-water velocity plus the local flow,
 exactly (no dynamics, no noise), which keeps whole runs bit-deterministic.
 Obstacles are spheres (optionally drifting, reflecting off the domain walls)
 or static vertical cylinders spanning the water column.
+
+Every moving sphere is rebuilt on every step, so Obstacle is a plain
+__slots__ class like geometry.Vec3, not a frozen dataclass: it compares,
+hashes and prints as one would, but its fields can be assigned. Only its
+own __init__ and _advance_obstacle, which fills a new one, may assign
+them; an AST test in tests/test_geometry.py enforces that. The other
+value types here are frozen dataclasses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from mppf.geometry import ZERO, Attitude, GliderState, Vec3, wrap_angle
 from mppf.potentials import GotoCommand, ObstaclePoint
@@ -30,20 +37,38 @@ _INDEX_CELL = 20.0
 _SKIN = 10.0
 
 
-@dataclass(frozen=True, slots=True)
 class Obstacle:
-    shape: str
-    radius: float
-    center: Vec3
-    velocity: Vec3 = ZERO
+    """A sphere, optionally drifting, or a static full-column cylinder.
+    Immutable by convention only: see the module docstring."""
 
-    def __post_init__(self):
-        if self.shape not in (SPHERE, CYLINDER):
-            raise ValueError(f"unknown obstacle shape: {self.shape!r}")
-        if self.radius <= 0.0:
+    __slots__ = ("shape", "radius", "center", "velocity")
+
+    def __init__(self, shape: str, radius: float, center: Vec3,
+                 velocity: Vec3 = ZERO):
+        if shape not in (SPHERE, CYLINDER):
+            raise ValueError(f"unknown obstacle shape: {shape!r}")
+        if radius <= 0.0:
             raise ValueError("obstacle radius must be positive")
-        if self.shape == CYLINDER and self.velocity != ZERO:
+        if shape == CYLINDER and velocity != ZERO:
             raise ValueError("cylinder obstacles are static")
+        self.shape = shape
+        self.radius = radius
+        self.center = center
+        self.velocity = velocity
+
+    def __repr__(self) -> str:
+        return (f"Obstacle(shape={self.shape!r}, radius={self.radius!r}, "
+                f"center={self.center!r}, velocity={self.velocity!r})")
+
+    # a frozen dataclass's comparison, as for Vec3
+    def __eq__(self, o):
+        if o.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.shape, self.radius, self.center, self.velocity)
+                == (o.shape, o.radius, o.center, o.velocity))
+
+    def __hash__(self) -> int:
+        return hash((self.shape, self.radius, self.center, self.velocity))
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,7 +115,7 @@ class ObstacleIndex:
     the 1 m absorbs rounding; a point farther away rebuilds it from the grid
     at itself. The list is a memo of a pure function of the point and the
     reach, so the answer is a superset of the exact one whatever the order
-    of the queries, and worlds made by `replace` may share the index.
+    of the queries, and every world of a run may share the index.
 
     Obstacles move only when their velocity is nonzero and keep it nonzero
     (walls only flip its sign), so the grid and the skin lists stay exact
@@ -173,7 +198,7 @@ class WorldState:
     clearance: float = math.inf
     # obstacles the sonar has seen; one stays tracked once seen
     tracked: frozenset[int] = frozenset()
-    # built from the initial obstacles; replace() carries it along
+    # built from the initial obstacles and handed on to every later world
     index: ObstacleIndex | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -335,20 +360,39 @@ def surface_points(world: WorldState, indices, sonar: SonarModel) -> list[Obstac
 
 
 def _advance_obstacle(ob: Obstacle, bounds: Bounds, dt: float) -> Obstacle:
-    """One drift step of a moving sphere, reflecting off the domain walls."""
+    """One drift step of a moving sphere, reflecting off the domain walls.
+
+    A coordinate c past the wall at 0 goes to -c, one past the wall at hi
+    to 2*hi - c, and that velocity component changes sign; the scenario
+    reader keeps every component's drift per step within the domain's
+    extent, so one reflection lands inside. Shape, radius and a nonzero
+    velocity cannot change, so the moved obstacle skips Obstacle's checks,
+    and it keeps the velocity object itself when no wall is hit.
+    """
     c, v = ob.center, ob.velocity
-    cx, vx = _reflect(c.x + v.x * dt, v.x, bounds.x)
-    cy, vy = _reflect(c.y + v.y * dt, v.y, bounds.y)
-    cz, vz = _reflect(c.z + v.z * dt, v.z, bounds.depth)
-    return Obstacle(ob.shape, ob.radius, Vec3(cx, cy, cz), Vec3(vx, vy, vz))
-
-
-def _reflect(c: float, v: float, hi: float) -> tuple[float, float]:
-    if c < 0.0:
-        return -c, -v
-    if c > hi:
-        return 2.0 * hi - c, -v
-    return c, v
+    vx, vy, vz = v.x, v.y, v.z
+    x = c.x + vx * dt
+    y = c.y + vy * dt
+    z = c.z + vz * dt
+    hit = False
+    if x < 0.0:
+        x, vx, hit = -x, -vx, True
+    elif x > bounds.x:
+        x, vx, hit = 2.0 * bounds.x - x, -vx, True
+    if y < 0.0:
+        y, vy, hit = -y, -vy, True
+    elif y > bounds.y:
+        y, vy, hit = 2.0 * bounds.y - y, -vy, True
+    if z < 0.0:
+        z, vz, hit = -z, -vz, True
+    elif z > bounds.depth:
+        z, vz, hit = 2.0 * bounds.depth - z, -vz, True
+    moved = object.__new__(Obstacle)
+    moved.shape = ob.shape
+    moved.radius = ob.radius
+    moved.center = Vec3(x, y, z)
+    moved.velocity = Vec3(vx, vy, vz) if hit else v
+    return moved
 
 
 def glider_clearance(obstacles: tuple[Obstacle, ...], index: ObstacleIndex,
@@ -383,14 +427,15 @@ def advance_world(world: WorldState, new_glider: GliderState, dt: float) -> Worl
     index = world.index
     obstacles = world.obstacles
     if index.moving:
-        moved = list(obstacles)
+        moved, bounds = list(obstacles), world.bounds
         for i in index.moving:
-            moved[i] = _advance_obstacle(moved[i], world.bounds, dt)
+            moved[i] = _advance_obstacle(moved[i], bounds, dt)
         obstacles = tuple(moved)
     clearance = glider_clearance(obstacles, index, new_glider.position,
                                  world.body_radius)
-    return replace(world, glider=new_glider, obstacles=obstacles,
-                   time=world.time + dt, clearance=clearance)
+    return WorldState(new_glider, obstacles, world.flow, world.bounds,
+                      world.body_radius, world.time + dt, clearance,
+                      world.tracked, index)
 
 
 def step_kinematics(glider: GliderState, command: GotoCommand, flow: Vec3,

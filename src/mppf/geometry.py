@@ -16,7 +16,9 @@ dataclass sets each field through object.__setattr__, at about three
 times the cost. Its __eq__, __hash__ and __repr__ behave as a frozen
 dataclass's would, but its fields can be assigned. Nothing may assign
 them, least of all those of the shared ZERO; an AST test in
-tests/test_geometry.py enforces that. Every other value type here is a frozen dataclass.
+tests/test_geometry.py enforces that. environment.Obstacle is built the
+same way, for the same reason. Every other value type here is a frozen
+dataclass.
 """
 
 from __future__ import annotations

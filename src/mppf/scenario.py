@@ -295,8 +295,8 @@ def _dump_group(key: str, group) -> dict:
     return out
 
 
-def _read_obstacle(problems: list[str], idx: int, raw,
-                   bounds: Bounds) -> Obstacle | None:
+def _read_obstacle(problems: list[str], idx: int, raw, bounds: Bounds,
+                   dt: float) -> Obstacle | None:
     name = f"obstacles[{idx}]"
     if not isinstance(raw, dict):
         problems.append(f"{name}: expected a mapping")
@@ -323,6 +323,11 @@ def _read_obstacle(problems: list[str], idx: int, raw,
     if shape == CYLINDER and vel != ZERO:
         problems.append(f"{name}.velocity: cylinders are static")
         vel = ZERO
+    # a drift within the extent of each axis needs one reflection at most
+    if (abs(vel.x) * dt > bounds.x or abs(vel.y) * dt > bounds.y
+            or abs(vel.z) * dt > bounds.depth):
+        problems.append(f"{name}.velocity: drifts farther than the domain"
+                        " in one step")
     # a cylinder spans the whole water column, so its z is never read
     if not (0.0 <= center.x <= bounds.x and 0.0 <= center.y <= bounds.y
             and (shape == CYLINDER or 0.0 <= center.z <= bounds.depth)):
@@ -429,7 +434,7 @@ def scenario_from_dict(data: dict, name: str = "scenario",
         raw_obs = []
     touched = None  # the first explicit obstacle the hull touches at start
     for i, raw in enumerate(raw_obs):
-        ob = _read_obstacle(problems, i, raw, bounds)
+        ob = _read_obstacle(problems, i, raw, bounds, dt)
         if ob is not None:
             obstacles.append(ob)
             # run_scenario's collision test: clearance <= 0
@@ -442,6 +447,10 @@ def scenario_from_dict(data: dict, name: str = "scenario",
     rand = _read_group(problems, data, "random_obstacles", RandomObstacles())
     if rand.depth_range is not None and rand.depth_range[1] > bounds.depth:
         problems.append("random_obstacles.depth: exceeds the domain depth")
+    # random spheres drift horizontally, each component at most `speed`
+    if rand.speed_range[1] * dt > min(bounds.x, bounds.y):
+        problems.append("random_obstacles.speed: drifts farther than the"
+                        " domain in one step")
     if not data.get("random_obstacles"):
         rand = None
 

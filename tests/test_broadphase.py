@@ -284,12 +284,19 @@ def edge_walk(draw, world, reaches):
     a = at_the_limit(moved(q, axis, getattr(q.position, axis) - sign * _SKIN),
                      axis, -sign * math.inf,
                      lambda h: h.position.dist(q.position) <= _SKIN)
-    past, x = q, getattr(q.position, axis)
-    for _ in range(64):
-        if past.position.dist(a.position) > _SKIN:
-            break
-        x = math.nextafter(x, sign * math.inf)
-        past = moved(q, axis, x)
+    # walk out from q in doubling steps until past the skin, then halve the
+    # gap down to two adjacent floats: around 0.0 the floats are too dense
+    # for a walk of single ulps to leave the skin
+    def beyond(x):
+        return moved(q, axis, x).position.dist(a.position) > _SKIN
+
+    lo = getattr(q.position, axis)
+    step = math.ulp(lo)
+    while not beyond(hi := lo + sign * step):
+        step *= 2.0
+    while (mid := lo + (hi - lo) / 2.0) not in (lo, hi):
+        lo, hi = (lo, mid) if beyond(mid) else (mid, hi)
+    past = moved(q, axis, hi)
     side = "y" if axis == "x" else "x"
     jump = moved(a, side, getattr(a.position, side) + 3.0 * _SKIN)
     return [jump, a, q, past]

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mppf import environment
@@ -361,6 +361,48 @@ def test_reflection_is_deterministic_over_many_steps():
     assert w1.obstacles[0] == w2.obstacles[0]
     c = w1.obstacles[0].center
     assert 0.0 <= c.x <= 100.0 and 0.0 <= c.y <= 100.0
+
+
+def reflect(c, v, hi):
+    """The reflection _advance_obstacle makes inline, as a function."""
+    if c < 0.0:
+        return -c, -v
+    if c > hi:
+        return 2.0 * hi - c, -v
+    return c, v
+
+
+@st.composite
+def drifts(draw):
+    """(center, velocity, extent) of one axis. The velocity is free, a
+    signed zero, or one that lands exactly on a wall when dt is 1."""
+    hi = draw(st.floats(1.0, 1000.0))
+    c = draw(st.floats(0.0, hi))
+    v = draw(st.floats(-2000.0, 2000.0) | st.sampled_from([0.0, -0.0])
+             | st.sampled_from([-c, hi - c]))
+    return c, v, hi
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.tuples(drifts(), drifts(), drifts()),
+       st.floats(0.01, 100.0) | st.just(1.0))
+@example(((5.0, -5.0, 100.0), (95.0, 5.0, 100.0), (0.0, -0.0, 50.0)), 1.0)
+@example(((5.0, -6.0, 100.0), (95.0, 6.0, 100.0), (50.0, 0.0, 50.0)), 1.0)
+def test_advance_obstacle_reflects_bit_for_bit(axes, dt):
+    (cx, vx, hx), (cy, vy, hy), (cz, vz, hz) = axes
+    ob = Obstacle("sphere", 1.0, Vec3(cx, cy, cz), Vec3(vx, vy, vz))
+    bounds = Bounds(hx, hy, hz)
+    nxt = _advance_obstacle(ob, bounds, dt)
+    want = [reflect(c + v * dt, v, hi) for c, v, hi in axes]
+    got = [(nxt.center.x, nxt.velocity.x), (nxt.center.y, nxt.velocity.y),
+           (nxt.center.z, nxt.velocity.z)]
+    assert [(c.hex(), v.hex()) for c, v in got] == [
+        (c.hex(), v.hex()) for c, v in want]
+    assert (nxt.shape, nxt.radius) == (ob.shape, ob.radius)
+    if all(0.0 <= c + v * dt <= hi for c, v, hi in axes):
+        assert nxt.velocity is ob.velocity
+    else:
+        assert nxt.velocity is not ob.velocity
 
 
 # --- flow field ------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Sample-surface construction, the angle/vector helpers under it, and the
-value types Vec3 (hand-written) and Candidate."""
+value types Vec3 and environment.Obstacle (hand-written) and Candidate."""
 
 import ast
 import math
@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mppf.environment import CYLINDER, SPHERE, Obstacle
 from mppf.geometry import (
     GRID_N,
     Attitude,
@@ -178,7 +179,7 @@ def test_fan_matches_spherical_to_cartesian_bit_for_bit(psi, theta, step, glide,
     assert k == len(surf.candidates)
 
 
-# --- Vec3 and Candidate: a frozen dataclass's semantics, not its guard -------
+# --- Vec3, Obstacle and Candidate: a frozen dataclass's semantics, not its guard
 
 @dataclass(frozen=True, slots=True)
 class RefVec3:
@@ -196,6 +197,14 @@ class RefCandidate:
     speed: float
 
 
+@dataclass(frozen=True, slots=True)
+class RefObstacle:
+    shape: str
+    radius: float
+    center: RefVec3
+    velocity: RefVec3
+
+
 NAN = math.nan  # one shared object: tuple comparison finds it equal to itself
 FIELD = st.sampled_from([0.0, -0.0, 1.5, NAN, math.inf]) | st.floats()
 
@@ -209,8 +218,22 @@ def candidate(pos, vel, *rest):
     return Candidate(pos[0], vel[0], *rest), RefCandidate(pos[1], vel[1], *rest)
 
 
+def obstacle(shape, radius, center, velocity):
+    return (Obstacle(shape, radius, center[0], velocity[0]),
+            RefObstacle(shape, radius, center[1], velocity[1]))
+
+
 VEC3S = st.tuples(FIELD, FIELD, FIELD).map(lambda xyz: vec3(*xyz))
 CANDIDATES = st.builds(candidate, VEC3S, VEC3S, FIELD, FIELD, FIELD)
+# the values Obstacle's checks accept: a radius not <= 0 (NaN passes), and
+# a cylinder only at rest, where -0.0 equals 0.0
+RADII = FIELD.filter(lambda r: not r <= 0.0)
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+OBSTACLES = (
+    st.builds(obstacle, st.just(SPHERE), RADII, VEC3S, VEC3S)
+    | st.builds(obstacle, st.just(CYLINDER), RADII, VEC3S,
+                st.tuples(SIGNED_ZEROS, SIGNED_ZEROS, SIGNED_ZEROS).map(
+                    lambda xyz: vec3(*xyz))))
 FOREIGN = [None, "x", (0.0, 0.0, 0.0), 1.5, object()]
 
 
@@ -243,10 +266,24 @@ def test_candidate_compares_hashes_and_prints_like_a_frozen_dataclass(a, b):
     assert a[0] != a[0].position and a[0].position != a[0]
 
 
+@settings(max_examples=300, deadline=None)
+@given(OBSTACLES, OBSTACLES)
+@example(obstacle(SPHERE, NAN, vec3(NAN, 1.0, 2.0), vec3(0.2, 0.0, 0.0)),
+         obstacle(SPHERE, NAN, vec3(NAN, 1.0, 2.0), vec3(0.2, -0.0, 0.0)))
+@example(obstacle(CYLINDER, 3.0, vec3(-0.0, 5.0, 0.0), vec3(0.0, 0.0, 0.0)),
+         obstacle(CYLINDER, 3.0, vec3(0.0, 5.0, -0.0), vec3(-0.0, 0.0, -0.0)))
+@example(obstacle(SPHERE, 1.0, vec3(1.0, 2.0, 3.0), vec3(0.0, 0.0, 0.0)),
+         obstacle(CYLINDER, 1.0, vec3(1.0, 2.0, 3.0), vec3(0.0, 0.0, 0.0)))
+def test_obstacle_compares_hashes_and_prints_like_a_frozen_dataclass(a, b):
+    assert_same_semantics(a[0], a[1], b[0], b[1])
+    assert a[0] != a[0].center and a[0].center != a[0]
+
+
 # --- nothing assigns those fields ---------------------------------------------
 
 ROOT = Path(__file__).resolve().parent.parent
-FIELDS = {"x", "y", "z", "position", "velocity", "psi", "theta", "speed"}
+FIELDS = {"x", "y", "z", "position", "velocity", "psi", "theta", "speed",
+          "shape", "radius", "center"}
 SETTERS = {"setattr", "delattr", "__setattr__", "__delattr__"}
 
 
@@ -293,10 +330,15 @@ def test_the_field_guard_sees_every_kind_of_write():
 
 
 def test_nothing_assigns_the_fields_of_vec3_or_candidate():
-    # Vec3 does not refuse assignment, and ZERO is shared by every caller:
-    # only its own __init__ may write these names. Candidate is a frozen
-    # dataclass again, but nothing should try either.
-    allowed = {("src/mppf/geometry.py", "Vec3.__init__"): {"x", "y", "z"}}
+    # Vec3 and Obstacle do not refuse assignment, and ZERO is shared by
+    # every caller: only Vec3's own __init__ may write its names, and only
+    # Obstacle's __init__ and the drift step, which fills a new Obstacle,
+    # may write Obstacle's. Candidate is a frozen dataclass again, but
+    # nothing should try either.
+    ob_fields = {"shape", "radius", "center", "velocity"}
+    allowed = {("src/mppf/geometry.py", "Vec3.__init__"): {"x", "y", "z"},
+               ("src/mppf/environment.py", "Obstacle.__init__"): ob_fields,
+               ("src/mppf/environment.py", "_advance_obstacle"): ob_fields}
     seen = {key: set() for key in allowed}
     writes = []
     for path in sorted([*(ROOT / "src" / "mppf").rglob("*.py"),
@@ -308,4 +350,4 @@ def test_nothing_assigns_the_fields_of_vec3_or_candidate():
             else:
                 writes.append(f"{rel}:{line} {scope or '<module>'} writes .{name}")
     assert writes == []
-    assert seen == allowed  # the walk does reach Vec3's constructor
+    assert seen == allowed  # the walk does reach every allowed writer

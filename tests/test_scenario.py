@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mppf import scenario
-from mppf.environment import Bounds, SonarModel, VortexFlow
+from mppf.environment import Bounds, SonarModel, VortexFlow, _advance_obstacle
 from mppf.errors import ScenarioError
 from mppf.escape import EscapeConfig
 from mppf.geometry import GliderSpec
@@ -223,6 +223,72 @@ def test_start_touching_an_explicit_obstacle_rejected():
     clear = scenario_from_dict({**BASE, "obstacles": sphere,
                                 "glider": {"body_radius": 0.5}})
     assert len(clear.obstacles) == 1
+
+
+DRIFT = "drifts farther than the domain in one step"
+
+
+def test_an_obstacle_drifting_past_the_domain_in_one_step_rejected():
+    # one reflection cannot bring these back: before this check, 300 m per
+    # step in the default 100 m square ran to x = -150, 450, -550, 850
+    fast = [{"radius": 1, "center": [50, 50, 5], "velocity": v}
+            for v in ([300, 0, 0], [0, -100.5, 0], [0, 0, 1])]
+    assert problems({"obstacles": fast[:2]}) == [
+        f"obstacles[0].velocity: {DRIFT}", f"obstacles[1].velocity: {DRIFT}"]
+    # the default domain is 50 m deep: 1 m/s for 100 s
+    assert problems({"dt": 100, "obstacles": fast[2:]}) == [
+        f"obstacles[0].velocity: {DRIFT}"]
+    # a drift of exactly the extent loads
+    edge = [{"radius": 1, "center": [50, 50, 5], "velocity": [-50, 50, 25]}]
+    assert scenario_from_dict({**BASE, "dt": 2, "obstacles": edge}
+                              ).obstacles[0].velocity.z == 25.0
+
+
+def test_a_random_field_drifting_past_the_domain_in_one_step_rejected():
+    # random spheres move horizontally at up to the top of the speed range
+    wide = {"x": 300, "y": 120}
+    assert problems({"bounds": wide, "random_obstacles": {
+        "count": 3, "speed": [0, 121]}}) == [f"random_obstacles.speed: {DRIFT}"]
+    assert problems({"bounds": wide, "dt": 2, "random_obstacles": {
+        "count": 3, "speed": [0, 61]}}) == [f"random_obstacles.speed: {DRIFT}"]
+    ok = scenario_from_dict({**BASE, "bounds": wide, "dt": 2,
+                             "random_obstacles": {"count": 3, "speed": [0, 60]}})
+    assert ok.random_obstacles.speed_range == (0.0, 60.0)
+
+
+UNIT = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.floats(1.0, 1000.0), st.floats(1.0, 1000.0),
+                 st.floats(10.0, 1000.0)),
+       st.tuples(UNIT, UNIT, UNIT), st.tuples(UNIT, UNIT, UNIT),
+       st.tuples(st.booleans(), st.booleans(), st.booleans()),
+       st.floats(0.01, 100.0))
+@example((100.0, 100.0, 50.0), (0.0, 1.0, 0.5), (1.0, 1.0, 1.0),
+         (False, True, False), 1.0)
+def test_an_accepted_drift_stays_inside_the_domain(extent, at, speed, flip, dt):
+    # each component's drift per step is a share of the axis's extent
+    velocity = [(-f if neg else f) * hi / dt
+                for f, neg, hi in zip(speed, flip, extent)]
+    data = {**BASE, "dt": dt, "start": [0, 0, 0], "goal": list(extent[:2]) + [0],
+            "bounds": dict(zip(("x", "y", "depth"), extent)),
+            "glider": {"max_depth": extent[2]},
+            "obstacles": [{"radius": 1e-3, "velocity": velocity,
+                           "center": [f * hi for f, hi in zip(at, extent)]}]}
+    try:
+        sc = scenario_from_dict(data)
+    except ScenarioError as err:
+        # rounding can carry a full-extent drift just past the extent, and
+        # a sphere can sit at the start
+        assert set(err.problems) <= {f"obstacles[0].velocity: {DRIFT}",
+                                     "start: the hull touches obstacles[0]"}
+        return
+    ob, b = sc.obstacles[0], sc.bounds
+    for _ in range(500):
+        ob = _advance_obstacle(ob, b, sc.dt)
+        c = ob.center
+        assert 0.0 <= c.x <= b.x and 0.0 <= c.y <= b.y and 0.0 <= c.z <= b.depth
 
 
 def test_literal_stride_accepts_only_booleans():
