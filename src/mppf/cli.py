@@ -2,8 +2,8 @@
 
 Exit codes for `run` (and `compare`, from its advanced-mode run):
 0 reached, 2 collision, 3 trapped, 4 step budget exhausted. Usage errors,
-scenario validation problems, a `--max-steps` below 1 and outputs that
-cannot be written exit 64.
+scenario validation problems, a `--max-steps` below 1, a negative
+`--seed` and outputs that cannot be written exit 64.
 """
 
 from __future__ import annotations
@@ -160,6 +160,9 @@ def main(argv=None) -> int:
     if getattr(args, "max_steps", None) is not None and args.max_steps <= 0:
         print(f"--max-steps: must be positive, got {args.max_steps}",
               file=sys.stderr)
+        return EXIT_INVALID
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        print(f"--seed: must be non-negative, got {args.seed}", file=sys.stderr)
         return EXIT_INVALID
     return args.func(args)
 

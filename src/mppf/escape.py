@@ -15,7 +15,7 @@ nearby obstacle are flow effects and stay the planner's problem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from mppf.errors import TrappedError
@@ -54,13 +54,15 @@ class EscapeState:
     progress_history: tuple[float, ...] = ()
 
 
+# The functions below build EscapeState positionally: record_progress runs
+# every planner step, where dataclasses.replace costs about twice as much.
 def record_progress(state: EscapeState, value: float, config: EscapeConfig) -> EscapeState:
     hist = (state.progress_history + (value,))[-config.window:]
-    return replace(state, progress_history=hist)
+    return EscapeState(state.mode, state.residual_vx, state.residual_vy, hist)
 
 
 def clear_progress(state: EscapeState) -> EscapeState:
-    return replace(state, progress_history=())
+    return EscapeState(state.mode, state.residual_vx, state.residual_vy, ())
 
 
 def critical_zone_radius(source_radius: float, body_radius: float,
@@ -151,15 +153,14 @@ def start_escape(glider: GliderState, direction: str, config: EscapeConfig,
                  state: EscapeState) -> EscapeState:
     """Enter the maneuver, capturing the pre-escape horizontal velocity."""
     vh = glider.speed * math.cos(glider.attitude.theta)
-    return replace(state,
-                   mode=direction,
-                   residual_vx=vh * math.cos(glider.attitude.psi),
-                   residual_vy=vh * math.sin(glider.attitude.psi))
+    return EscapeState(direction,
+                       vh * math.cos(glider.attitude.psi),
+                       vh * math.sin(glider.attitude.psi),
+                       state.progress_history)
 
 
 def end_escape(state: EscapeState) -> EscapeState:
-    return replace(state, mode="inactive", residual_vx=0.0, residual_vy=0.0,
-                   progress_history=())
+    return EscapeState()
 
 
 def escape_step(state: EscapeState, glider: GliderState, config: EscapeConfig,
@@ -190,7 +191,6 @@ def escape_step(state: EscapeState, glider: GliderState, config: EscapeConfig,
     new_glider = GliderState(Vec3(x, y, z),
                              Attitude(glider.attitude.psi, 0.0),
                              config.vertical_speed, "escape")
-    new_state = replace(state,
-                        residual_vx=state.residual_vx * a,
-                        residual_vy=state.residual_vy * a)
+    new_state = EscapeState(state.mode, state.residual_vx * a,
+                            state.residual_vy * a, state.progress_history)
     return new_glider, new_state

@@ -10,6 +10,19 @@ fan as those factors, one row per heading and one per glide angle, and
 the planner scores and selects straight from the rows. Candidate, one
 point of the fan, is built only on request (SampleSurface.candidates).
 
+The rows depend only on the attitude, a few spec fields and dt, and
+missions revisit few attitudes (the eight obstacle-free benchmark
+missions make 3,025 decisions from 79 distinct headings), so
+build_sample_surface keeps each row set it builds in one of two
+module-level memos: heading rows keyed by (psi, max_heading_step), glide
+rows by (theta, max_glide_angle, speed_down, speed_up, dt). Each memo is
+emptied when it holds MEMO_SIZE entries. A hit returns the bits a fresh
+build would: the rows are a pure function of the key's values, and a key
+holding a zero also carries the sign of each value, because -0.0 == 0.0
+as dict keys while the rows built from them can differ in the sign of a
+zero. The entries hold no caller's state, so every caller in the process
+may share them.
+
 Vec3 is built several times per simulated step, so it is a plain
 __slots__ class whose __init__ stores the fields directly; a frozen
 dataclass sets each field through object.__setattr__, at about three
@@ -27,6 +40,7 @@ import math
 from dataclasses import dataclass
 
 GRID_N = 5  # candidate headings / glide angles per axis (5x5 surface)
+MEMO_SIZE = 4096  # entries per row memo; a bundled mission needs under 100
 
 
 def wrap_angle(a: float) -> float:
@@ -185,6 +199,10 @@ class SampleSurface:
     heading row i with glide row j. It sits at ``center + (rct * cp, rct
     * sp, rdz)`` and moves at ``(vct * cp, vct * sp, vz)``: the operation
     order of ``spherical_to_cartesian``, so the bits match it.
+
+    ``dpsi`` and ``dtheta`` are the selector's tie-break columns, one
+    entry per heading and per glide row: ``abs(angle_diff(psi,
+    attitude.psi))`` and ``abs(theta - attitude.theta)``.
     """
 
     center: Vec3
@@ -194,6 +212,8 @@ class SampleSurface:
     # largest slant range speed * dt of the fan: no candidate lies farther
     # than this from center (up to rounding)
     reach: float
+    dpsi: tuple[float, ...]
+    dtheta: tuple[float, ...]
 
     @property
     def candidates(self) -> tuple[Candidate, ...]:
@@ -216,30 +236,80 @@ def build_sample_surface(state: GliderState, spec: GliderSpec, dt: float) -> Sam
     indexing is stable. Each candidate sits at its own slant range
     speed(theta_i) * dt from the current position; the largest is the
     surface's reach.
+
+    The heading rows and the glide rows (with the reach) are each built
+    once per key and then recalled: heading rows by (psi,
+    max_heading_step), glide rows by (theta, max_glide_angle,
+    speed_down, speed_up, dt). Each memo is emptied when it reaches
+    MEMO_SIZE entries. A recalled row set has the bits of a fresh build
+    (see the module docstring).
     """
-    psi0 = state.attitude.psi
-    theta0 = state.attitude.theta
+    att = state.attitude
+    psi0, theta0 = att.psi, att.theta
+    headings, dpsi = _recall(_heading_memo, (psi0, spec.max_heading_step),
+                             _heading_rows, psi0, spec)
+    glides, dtheta, reach = _recall(
+        _glide_memo, (theta0, spec.max_glide_angle, spec.speed_down,
+                      spec.speed_up, dt), _glide_rows, theta0, spec, dt)
+    return SampleSurface(state.position, att, headings, glides, reach,
+                         dpsi, dtheta)
+
+
+_heading_memo: dict = {}
+_glide_memo: dict = {}
+
+
+def _recall(memo: dict, key: tuple, build, *args):
+    """``memo[key]``, built by ``build(*args)`` on a miss.
+
+    ``build`` must depend only on the values in ``key``. A key holding a
+    zero also carries every value's sign, so 0.0 and -0.0 get separate
+    entries. A full memo is emptied before the new entry goes in.
+    """
+    if 0.0 in key:
+        key += tuple(math.copysign(1.0, v) for v in key)
+    rows = memo.get(key)
+    if rows is None:
+        if len(memo) >= MEMO_SIZE:
+            memo.clear()
+        rows = memo[key] = build(*args)
+    return rows
+
+
+def _heading_rows(psi0: float, spec: GliderSpec):
+    """The heading rows around psi0 and their |dpsi| column."""
     half = (GRID_N - 1) // 2
     psi_step = spec.max_heading_step / half
-    theta_step = spec.max_glide_angle / half
+    rows = []
+    turns = []
+    for i in range(-half, half + 1):
+        psi_i = wrap_angle(psi0 + i * psi_step)
+        rows.append((psi_i, math.cos(psi_i), math.sin(psi_i)))
+        turns.append(abs(angle_diff(psi_i, psi0)))
+    return tuple(rows), tuple(turns)
 
-    # one cos/sin pair per heading and per glide angle, multiplied in
-    # spherical_to_cartesian's operation order so the bits match it
-    glides = []
+
+def _glide_rows(theta0: float, spec: GliderSpec, dt: float):
+    """The glide rows around theta0, their |dtheta| column and the reach.
+
+    One cos/sin pair per glide angle, multiplied in spherical_to_cartesian's
+    operation order so the bits match it. The envelope and speeds pass
+    through float(), so the rows hold floats even for a spec built with
+    int fields, whose key equals the float spec's.
+    """
+    half = (GRID_N - 1) // 2
+    limit = float(spec.max_glide_angle)
+    theta_step = limit / half
+    rows = []
+    turns = []
     reach = 0.0
     for j in range(-half, half + 1):
-        theta_j = theta0 + j * theta_step
-        theta_j = min(spec.max_glide_angle, max(-spec.max_glide_angle, theta_j))
-        speed = spec.speed_for(theta_j)
+        theta_j = min(limit, max(-limit, theta0 + j * theta_step))
+        speed = float(spec.speed_for(theta_j))
         r = speed * dt
         reach = max(reach, r)
         ct = math.cos(theta_j)
         st = math.sin(theta_j)
-        glides.append((theta_j, speed, r * ct, -r * st, speed * ct, -speed * st))
-
-    headings = []
-    for i in range(-half, half + 1):
-        psi_i = wrap_angle(psi0 + i * psi_step)
-        headings.append((psi_i, math.cos(psi_i), math.sin(psi_i)))
-    return SampleSurface(state.position, state.attitude, tuple(headings),
-                         tuple(glides), reach)
+        rows.append((theta_j, speed, r * ct, -r * st, speed * ct, -speed * st))
+        turns.append(abs(theta_j - theta0))
+    return tuple(rows), tuple(turns), reach

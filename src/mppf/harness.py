@@ -220,6 +220,8 @@ def run_scenario(scenario: Scenario, *, mode: str | None = None,
     if mode not in MODES:
         raise ValueError(f"unknown planner mode: {mode!r}")
     seed = scenario.seed if seed is None else seed
+    if seed < 0:  # random.Random(-n) would place seed n's field
+        raise ValueError(f"seed must be non-negative, got {seed}")
     max_steps = scenario.max_steps if max_steps is None else max_steps
     dt = scenario.dt
     cfg_escape = scenario.escape

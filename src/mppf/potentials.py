@@ -16,7 +16,8 @@ bit-for-bit equal to composing the scalars over ``surface.candidates``;
 tests assert exact agreement. ``grid_potentials`` hands the kernel only
 the points within reach of the fan, since a point beyond its influence
 radius from every candidate adds nothing. ``select_goto`` reads the rows
-too and builds one target ``Vec3``, for the chosen candidate only.
+too, with the surface's tie-break columns, and builds one target
+``Vec3``, for the chosen candidate only.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 from mppf import _kernels
 from mppf.errors import NoFeasibleWaypoint
-from mppf.geometry import SampleSurface, Vec3, angle_diff
+from mppf.geometry import SampleSurface, Vec3
 
 MODES = ("baseline", "advanced")
 
@@ -228,8 +229,8 @@ def select_goto(surface: SampleSurface, goal: Vec3,
     list grid_potentials returns (+inf on a sample point). A candidate's
     depth is its glide row's, so depth is tested once per glide row.
     Exact potential ties go to the smallest heading change, then the
-    smallest glide-angle change, then grid order, so selection is fully
-    deterministic.
+    smallest glide-angle change (the surface's dpsi and dtheta columns),
+    then grid order, so selection is fully deterministic.
 
     Raises
     ------
@@ -237,24 +238,23 @@ def select_goto(surface: SampleSurface, goal: Vec3,
         If every candidate is infeasible.
     """
     grid = grid_potentials(surface, goal, points, flow, params, mode)
-    att = surface.attitude
     center = surface.center
     glides = surface.glides
     cols = len(glides)
     # (j, |dtheta|) of each glide row within the depth limits
     rows = []
-    for j, (theta, _speed, _rct, rdz, _vct, _vz) in enumerate(glides):
-        z = center.z + rdz
+    for j, dtheta in enumerate(surface.dtheta):
+        z = center.z + glides[j][3]  # the row's rdz
         if not (z < 0.0 or z > max_depth):
-            rows.append((j, abs(theta - att.theta)))
+            rows.append((j, dtheta))
     best = None  # (u, |dpsi|, |dtheta|, k) of the best candidate so far
-    for i, (psi, _cp, _sp) in enumerate(surface.headings):
+    for i, dpsi in enumerate(surface.dpsi):
         for j, dtheta in rows:
             k = i * cols + j
             u = grid[k]
             if math.isinf(u) or best is not None and u > best[0]:
                 continue  # a larger u never keys lower: no key to build
-            key = (u, abs(angle_diff(psi, att.psi)), dtheta, k)
+            key = (u, dpsi, dtheta, k)
             if best is None or key < best:
                 best = key
     if best is None:

@@ -173,7 +173,7 @@ GROUPS = {
         "radius": ("radius_range", 1e-6, None, RANGE),  # m
         "speed": ("speed_range", 0.0, None, RANGE),  # m/s
         "depth": ("depth_range", 0.0, None, RANGE),  # m
-        "seed": ("seed", None, None, INT),
+        "seed": ("seed", 0, None, INT),  # Random(-n) seeds like Random(n)
         "keepout": ("keepout", 0.0, None, NUM),  # m
     },
 }
@@ -390,7 +390,8 @@ def scenario_from_dict(data: dict, name: str = "scenario",
         problems.append(f"mode: must be one of {'/'.join(MODES)}")
         mode = "advanced"
 
-    seed = _number(problems, data, "scenario", "seed", 0, integer=True)
+    # random.Random(-n) seeds like Random(n), so a negative seed is refused
+    seed = _number(problems, data, "scenario", "seed", 0, lo=0, integer=True)
     dt = _number(problems, data, "scenario", "dt", 1.0)
     if dt <= 0.0:
         problems.append("dt: must be positive")

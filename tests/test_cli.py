@@ -83,6 +83,17 @@ def test_non_positive_max_steps_rejected_by_run_and_compare(tmp_path, capsys):
     assert not (tmp_path / "o").exists() and not (tmp_path / "c").exists()
 
 
+def test_negative_seed_rejected_by_run_and_compare(tmp_path, capsys):
+    # random.Random(-3) seeds like Random(3), so -3 would run seed 3's field
+    # under the label -3
+    path = write(tmp_path, REACHES)
+    for argv in (["run", "--out", str(tmp_path / "o")],
+                 ["compare", "--out", str(tmp_path / "c")]):
+        assert cli.main(argv + ["--scenario", path, "--seed", "-3"]) == 64
+        assert capsys.readouterr().err == "--seed: must be non-negative, got -3\n"
+    assert not (tmp_path / "o").exists() and not (tmp_path / "c").exists()
+
+
 def test_run_mode_override(tmp_path, capsys):
     path = write(tmp_path, REACHES)
     code = cli.main(["run", "--scenario", path, "--mode", "advanced",

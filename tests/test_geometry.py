@@ -11,9 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mppf import geometry
 from mppf.environment import CYLINDER, SPHERE, Obstacle
 from mppf.geometry import (
     GRID_N,
+    MEMO_SIZE,
+    ZERO,
     Attitude,
     Candidate,
     GliderSpec,
@@ -177,6 +180,118 @@ def test_fan_matches_spherical_to_cartesian_bit_for_bit(psi, theta, step, glide,
                 state.position + spherical_to_cartesian(psi_i, theta_j,
                                                         c.speed * dt))
     assert k == len(surf.candidates)
+
+
+# --- the row memos --------------------------------------------------------
+
+def fresh_fan(psi0, theta0, spec, dt):
+    """(headings, glides, reach, dpsi, dtheta) built from scratch with the
+    builder's arithmetic and no memo."""
+    half = (GRID_N - 1) // 2
+    psi_step = spec.max_heading_step / half
+    theta_step = spec.max_glide_angle / half
+    headings, dpsi, glides, dtheta = [], [], [], []
+    reach = 0.0
+    for i in range(-half, half + 1):
+        psi_i = wrap_angle(psi0 + i * psi_step)
+        headings.append((psi_i, math.cos(psi_i), math.sin(psi_i)))
+        dpsi.append(abs(angle_diff(psi_i, psi0)))
+    for j in range(-half, half + 1):
+        theta_j = theta0 + j * theta_step
+        theta_j = min(spec.max_glide_angle, max(-spec.max_glide_angle, theta_j))
+        speed = spec.speed_for(theta_j)
+        r = speed * dt
+        reach = max(reach, r)
+        ct, st_ = math.cos(theta_j), math.sin(theta_j)
+        glides.append((theta_j, speed, r * ct, -r * st_, speed * ct, -speed * st_))
+        dtheta.append(abs(theta_j - theta0))
+    return headings, glides, reach, dpsi, dtheta
+
+
+def hexed(v):
+    """v with every float replaced by its .hex(), so that -0.0 != 0.0."""
+    return tuple(map(hexed, v)) if isinstance(v, (tuple, list)) else float.hex(v)
+
+
+def clear_memos():
+    geometry._heading_memo.clear()
+    geometry._glide_memo.clear()
+
+
+def with_twins(pool):
+    """The pool plus the other sign of each zero in it."""
+    return pool + [-v for v in pool if v == 0.0]
+
+
+TINY = [0.0, -0.0, 5e-324, -5e-324]
+MEMO_PSIS = st.one_of(st.floats(-4.0, 4.0), st.sampled_from(
+    [math.pi, -math.pi, math.nextafter(math.pi, 0.0),
+     math.nextafter(-math.pi, 0.0), *TINY]))
+MEMO_THETAS = st.one_of(st.floats(-1.6, 1.6), st.sampled_from([1.5, -1.5, *TINY]))
+STEPS = st.one_of(st.floats(0.0, 1.2), st.sampled_from(TINY))
+LIMITS = st.one_of(st.floats(0.0, 1.5), st.sampled_from(TINY))
+SPEEDS = st.one_of(st.floats(0.0, 2.0), st.sampled_from([0.0, -0.0]))
+DTS = st.one_of(st.floats(0.1, 10.0), st.sampled_from(TINY))
+
+
+def pool(values):
+    return st.lists(values, min_size=1, max_size=3).map(with_twins)
+
+
+@st.composite
+def fan_calls(draw):
+    """Up to 24 builds in a random order, drawn from small pools of
+    headings, glide angles, specs and dts, so that keys repeat, one psi
+    meets several specs and dts, and a zero meets its other sign."""
+    steps, limits, speeds = draw(pool(STEPS)), draw(pool(LIMITS)), draw(pool(SPEEDS))
+    specs = draw(st.lists(st.builds(
+        GliderSpec, max_heading_step=st.sampled_from(steps),
+        max_glide_angle=st.sampled_from(limits),
+        speed_down=st.sampled_from(speeds), speed_up=st.sampled_from(speeds)),
+        min_size=1, max_size=4))
+    return draw(st.lists(st.tuples(
+        st.sampled_from(draw(pool(MEMO_PSIS))),
+        st.sampled_from(draw(pool(MEMO_THETAS))),
+        st.sampled_from(specs), st.sampled_from(draw(pool(DTS)))),
+        min_size=1, max_size=24))
+
+
+ZERO_STEP = GliderSpec(max_heading_step=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(calls=fan_calls())
+# each pair shares a key but for the sign of one zero, or for one field
+@example(calls=[(0.0, 0.1, ZERO_STEP, 1.0), (-0.0, 0.1, ZERO_STEP, 1.0)])
+@example(calls=[(0.0, 0.1, ZERO_STEP, 1.0),
+                (0.0, 0.1, GliderSpec(max_heading_step=-0.0), 1.0)])
+@example(calls=[(0.3, 0.0, GliderSpec(max_glide_angle=0.0), 1.0),
+                (0.3, -0.0, GliderSpec(max_glide_angle=0.0), 1.0)])
+@example(calls=[(0.3, 0.1, GliderSpec(speed_up=0.0), 1.0),
+                (0.3, 0.1, GliderSpec(speed_up=-0.0), 1.0)])
+@example(calls=[(0.3, 0.1, SPEC, 0.0), (0.3, 0.1, SPEC, -0.0)])
+@example(calls=[(0.3, 0.1, SPEC, 1.0), (0.3, 0.1, SPEC, 2.0),
+                (0.3, 0.1, GliderSpec(max_heading_step=0.5, max_glide_angle=0.3,
+                                      speed_down=0.7, speed_up=0.2), 1.0)])
+def test_memoised_fan_matches_a_fresh_build_bit_for_bit(calls):
+    clear_memos()
+    for psi, theta, spec, dt in calls:
+        state = GliderState(Vec3(1.0, 2.0, 3.0), Attitude(psi, theta), 0.3)
+        surf = build_sample_surface(state, spec, dt)
+        got = (surf.headings, surf.glides, surf.reach, surf.dpsi, surf.dtheta)
+        assert hexed(got) == hexed(fresh_fan(psi, theta, spec, dt)), (psi, theta, spec, dt)
+
+
+def test_row_memos_stay_within_their_bound():
+    assert MEMO_SIZE == 4096
+    clear_memos()
+    for k in range(10_000):
+        state = GliderState(ZERO, Attitude(k * 1e-3, k * 1e-4 - 0.5), 0.3)
+        build_sample_surface(state, SPEC, 1.0)
+        assert len(geometry._heading_memo) <= MEMO_SIZE
+        assert len(geometry._glide_memo) <= MEMO_SIZE
+    # emptied twice on the way: 10,000 - 2 * 4,096 entries are left
+    assert len(geometry._heading_memo) == len(geometry._glide_memo) == 1808
 
 
 # --- Vec3, Obstacle and Candidate: a frozen dataclass's semantics, not its guard

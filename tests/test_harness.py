@@ -1,12 +1,15 @@
 """End-to-end run bookkeeping, emitted files, and replayability."""
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
-from mppf import environment, escape, harness
+from mppf import environment, escape, geometry, harness
 from mppf.environment import (
     ObstacleIndex,
     flow_velocity,
@@ -126,6 +129,11 @@ def test_mode_override_and_validation():
     assert res.status == "reached"
     with pytest.raises(ValueError):
         run_scenario(scenario(SAWTOOTH), mode="hybrid")
+
+
+def test_negative_seed_raises():
+    with pytest.raises(ValueError, match="seed must be non-negative, got -3"):
+        run_scenario(scenario(SAWTOOTH), seed=-3)
 
 
 def test_drift_is_final_distance_to_goal():
@@ -388,6 +396,33 @@ def test_emitted_files_are_deterministic(tmp_path):
     b = emit_outputs(run_scenario(sc), sc, tmp_path / "b")
     for key in a:
         assert a[key].read_bytes() == b[key].read_bytes()
+
+
+# writes one mission's files from a fresh process, whose row memos are empty
+COLD_RUN = """
+import sys
+from mppf.harness import emit_outputs, run_scenario
+from mppf.scenario import load_scenario
+sc = load_scenario(sys.argv[1])
+emit_outputs(run_scenario(sc, mode="advanced"), sc, sys.argv[2])
+"""
+
+
+def test_a_mission_writes_the_same_bytes_with_cold_and_warm_row_memos(tmp_path):
+    path = SCENARIOS / "sawtooth.yaml"
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", COLD_RUN, str(path), str(tmp_path / "cold")],
+                   check=True, env=env, timeout=120)
+    sc = load_scenario(path)
+    run_scenario(sc, mode="baseline")
+    run_scenario(load_scenario(SCENARIOS / "vortex_multi.yaml"), mode="advanced")
+    warm_keys = set(geometry._heading_memo)
+    res = run_scenario(sc, mode="advanced")
+    # the memo already held headings this mission decides from
+    assert {(row.psi, sc.glider.max_heading_step) for row in res.trajectory} & warm_keys
+    warm = emit_outputs(res, sc, tmp_path / "warm")
+    for f in warm.values():
+        assert f.read_bytes() == (tmp_path / "cold" / f.name).read_bytes(), f.name
 
 
 # --- mode comparison -------------------------------------------------------

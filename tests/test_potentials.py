@@ -296,7 +296,8 @@ def rows_only(surf):
     hot path may read."""
     return SimpleNamespace(center=surf.center, attitude=surf.attitude,
                            headings=surf.headings, glides=surf.glides,
-                           reach=surf.reach)
+                           reach=surf.reach, dpsi=surf.dpsi,
+                           dtheta=surf.dtheta)
 
 
 def test_selection_never_reads_the_built_candidates():

@@ -168,6 +168,15 @@ def test_null_keeps_only_a_null_default():
     assert (rand.count, rand.depth_range, rand.seed) == (2, None, None)
 
 
+def test_negative_seeds_rejected():
+    # random.Random(-3) seeds like Random(3): the field of seed 3 would be
+    # placed under the label -3
+    assert problems({"seed": -3, "random_obstacles": {"count": 1, "seed": -1}}) == [
+        "scenario.seed: must be >= 0", "random_obstacles.seed: must be >= 0"]
+    assert scenario_from_dict({**BASE, "seed": 0, "random_obstacles": {
+        "count": 1, "seed": 0}}).random_obstacles.seed == 0
+
+
 def test_random_seed_reads_like_every_integer_field():
     assert problems({"random_obstacles": {"seed": True}}) == [
         "random_obstacles.seed: expected a number"]
