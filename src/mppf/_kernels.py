@@ -31,10 +31,15 @@ def total_potential_grid(n, surface, gx, gy, gz, flow, m, points, params, advanc
     """``n`` and ``m`` are the counts of candidates and points; the loops
     walk the surface's rows and the points, and the mission benchmark
     reads the counts."""
-    xi, eta, tau = params.xi, params.eta, params.tau
-    kappa, align_max = params.kappa, params.flow_align_max
+    # each gain times 0.5, formed once: 0.5 * xi * dg2 multiplies left to
+    # right, so (0.5 * xi) * dg2 is the same bits
+    hxi, heta = 0.5 * params.xi, 0.5 * params.eta
+    htau, hkappa = 0.5 * params.tau, 0.5 * params.kappa
+    align_max = params.flow_align_max
+    opposed = 0.5 * pi + align_max
     fx, fy, fz = flow.x, flow.y, flow.z
     fn = sqrt(fx * fx + fy * fy + fz * fz)
+    aligning = advanced and fn != 0.0
     center = surface.center
     px, py, pz = center.x, center.y, center.z
     glides = surface.glides
@@ -50,8 +55,8 @@ def total_potential_grid(n, surface, gx, gy, gz, flow, m, points, params, advanc
             dgy = gy - cy
             dgz = gz - cz
             dg2 = dgx * dgx + dgy * dgy + dgz * dgz
-            u = 0.5 * xi * dg2
-            closing = []
+            u = hxi * dg2
+            closing = None
             for p in points:
                 op = p.position
                 rx = op.x - cx
@@ -66,18 +71,22 @@ def total_potential_grid(n, surface, gx, gy, gz, flow, m, points, params, advanc
                 if d_o > dtj:
                     continue
                 w = 1.0 / d_o - 1.0 / dtj
-                u += 0.5 * eta * w * w * dg2
+                u += heta * w * w * dg2
                 if advanced:
                     ov = p.velocity
                     v_uo = ((vx - ov.x) * rx
                             + (vy - ov.y) * ry
                             + (vz - ov.z) * rz) / d_o
                     if not v_uo < 0.0:
-                        closing.append(0.5 * tau * v_uo / d_o)
+                        if closing is None:  # allocated only when needed
+                            closing = [htau * v_uo / d_o]
+                        else:
+                            closing.append(htau * v_uo / d_o)
             else:  # no point on the candidate
-                for t in closing:
-                    u += t
-                if advanced and fn != 0.0:
+                if closing:
+                    for t in closing:
+                        u += t
+                if aligning:
                     vn = sqrt(vx * vx + vy * vy + vz * vz)
                     if vn != 0.0:
                         c = (fx * vx + fy * vy + fz * vz) / (fn * vn)
@@ -90,11 +99,11 @@ def total_potential_grid(n, surface, gx, gy, gz, flow, m, points, params, advanc
                             dx = fx - vx
                             dy = fy - vy
                             dz = fz - vz
-                            u += 0.5 * kappa * (dx * dx + dy * dy + dz * dz)
-                        elif gamma >= 0.5 * pi + align_max:
+                            u += hkappa * (dx * dx + dy * dy + dz * dz)
+                        elif gamma >= opposed:
                             sx = fx + vx
                             sy = fy + vy
                             sz = fz + vz
-                            u += 0.5 * kappa * (sx * sx + sy * sy + sz * sz)
+                            u += hkappa * (sx * sx + sy * sy + sz * sz)
             out.append(u)
     return out

@@ -10,8 +10,11 @@ Every moving sphere is rebuilt on every step, so Obstacle is a plain
 __slots__ class like geometry.Vec3, not a frozen dataclass: it compares,
 hashes and prints as one would, but its fields can be assigned. Only its
 own __init__ and _advance_obstacle, which fills a new one, may assign
-them; an AST test in tests/test_geometry.py enforces that. The other
-value types here are frozen dataclasses.
+them; an AST test in tests/test_geometry.py enforces that. WorldState,
+rebuilt on every step too, is a slotted dataclass with unsafe_hash=True:
+it compares, hashes, prints and replace()s as a frozen one would, and the
+same test lets only its __post_init__, which fills `index`, assign its
+fields. VortexFlow, SonarModel and Bounds, built once per run, are frozen.
 """
 
 from __future__ import annotations
@@ -186,7 +189,7 @@ class ObstacleIndex:
         return out
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class WorldState:
     glider: GliderState
     obstacles: tuple[Obstacle, ...] = ()
@@ -203,7 +206,7 @@ class WorldState:
 
     def __post_init__(self):
         if self.index is None:
-            object.__setattr__(self, "index", ObstacleIndex(self.obstacles))
+            self.index = ObstacleIndex(self.obstacles)
 
     @property
     def collision(self) -> bool:

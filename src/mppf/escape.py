@@ -38,7 +38,8 @@ class EscapeConfig:
     overhead_clearance: float = 2.0
 
 
-@dataclass(frozen=True, slots=True)
+# built on every step, so not frozen: see the geometry module docstring
+@dataclass(slots=True, unsafe_hash=True)
 class EscapeState:
     """Maneuver mode plus the bookkeeping the detector needs.
 

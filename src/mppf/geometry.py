@@ -30,8 +30,12 @@ times the cost. Its __eq__, __hash__ and __repr__ behave as a frozen
 dataclass's would, but its fields can be assigned. Nothing may assign
 them, least of all those of the shared ZERO; an AST test in
 tests/test_geometry.py enforces that. environment.Obstacle is built the
-same way, for the same reason. Every other value type here is a frozen
-dataclass.
+same way, for the same reason. Attitude, GliderState and SampleSurface,
+also built on every step, are slotted dataclasses with unsafe_hash=True
+rather than frozen ones, for the same reason: they compare, hash, print
+and replace() as frozen ones would, and the same test keeps their fields
+unassigned. GliderSpec and Candidate, built once per run or only on
+request, stay frozen.
 """
 
 from __future__ import annotations
@@ -126,7 +130,7 @@ def spherical_to_cartesian(psi: float, theta: float, r: float) -> Vec3:
     return Vec3(r * ct * math.cos(psi), r * ct * math.sin(psi), -r * math.sin(theta))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Attitude:
     """Heading and glide angle, radians."""
 
@@ -165,7 +169,7 @@ class GliderSpec:
         return self.speed_down if theta < 0.0 else self.speed_up
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class GliderState:
     position: Vec3
     attitude: Attitude
@@ -187,7 +191,7 @@ class Candidate:
     speed: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SampleSurface:
     """The 5x5 fan of candidate waypoints, as its heading and glide rows.
 

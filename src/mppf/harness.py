@@ -215,13 +215,12 @@ def run_scenario(scenario: Scenario, *, mode: str | None = None,
     scenario's own fields. Termination: goal within arrival radius,
     collision (before the first move when the hull starts touching an
     obstacle), trapped (no escape direction left), or the step budget.
+    A negative seed raises ValueError (from materialize_obstacles).
     """
     mode = scenario.mode if mode is None else mode
     if mode not in MODES:
         raise ValueError(f"unknown planner mode: {mode!r}")
     seed = scenario.seed if seed is None else seed
-    if seed < 0:  # random.Random(-n) would place seed n's field
-        raise ValueError(f"seed must be non-negative, got {seed}")
     max_steps = scenario.max_steps if max_steps is None else max_steps
     dt = scenario.dt
     cfg_escape = scenario.escape

@@ -69,7 +69,8 @@ class ObstaclePoint(NamedTuple):
     source_radius: float  # parent obstacle radius, for critical-zone tests
 
 
-@dataclass(frozen=True, slots=True)
+# built on every step, so not frozen: see the geometry module docstring
+@dataclass(slots=True, unsafe_hash=True)
 class GotoCommand:
     """Selected go-to point for the next step."""
 

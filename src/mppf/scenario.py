@@ -471,6 +471,8 @@ def materialize_obstacles(sc: Scenario, seed: int) -> tuple[Obstacle, ...]:
     order; a draw landing within keepout of the start or goal is rejected
     and redrawn whole, keeping the stream stable.
     """
+    if seed < 0:  # random.Random(-n) would place seed n's field
+        raise ValueError(f"seed must be non-negative, got {seed}")
     obs = list(sc.obstacles)
     rb = sc.random_obstacles
     if rb is None or rb.count == 0:

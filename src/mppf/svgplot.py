@@ -79,6 +79,8 @@ def _nearest_samples(samples, obstacles: Sequence[Obstacle]) -> list[int]:
     coordinates no nearer the obstacle, so rounding keeps it at or below
     every sample's in the box: no unvisited sample is as near as the best.
     """
+    if not obstacles:  # nothing to place: skip bucketing the samples
+        return []
     xy = [(smp.position.x, smp.position.y) for smp in samples]
     xs = [x for x, _ in xy]
     ys = [y for _, y in xy]

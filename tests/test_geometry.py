@@ -1,10 +1,11 @@
 """Sample-surface construction, the angle/vector helpers under it, and the
-value types Vec3 and environment.Obstacle (hand-written) and Candidate."""
+value types: Vec3 and environment.Obstacle (hand-written), Candidate
+(frozen), and the six per-step dataclasses that do not refuse assignment."""
 
 import ast
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mppf import geometry
-from mppf.environment import CYLINDER, SPHERE, Obstacle
+from mppf.environment import CYLINDER, SPHERE, Bounds, Obstacle, VortexFlow, WorldState
+from mppf.escape import EscapeState
 from mppf.geometry import (
     GRID_N,
     MEMO_SIZE,
@@ -21,12 +23,14 @@ from mppf.geometry import (
     Candidate,
     GliderSpec,
     GliderState,
+    SampleSurface,
     Vec3,
     angle_diff,
     build_sample_surface,
     spherical_to_cartesian,
     wrap_angle,
 )
+from mppf.potentials import GotoCommand
 
 SPEC = GliderSpec()
 
@@ -394,11 +398,123 @@ def test_obstacle_compares_hashes_and_prints_like_a_frozen_dataclass(a, b):
     assert a[0] != a[0].center and a[0].center != a[0]
 
 
+# --- the per-step dataclasses: unfrozen, but otherwise their frozen originals
+# (the declarations before they stopped refusing assignment)
+
+@dataclass(frozen=True, slots=True)
+class RefAttitude:
+    psi: float
+    theta: float
+
+
+@dataclass(frozen=True, slots=True)
+class RefGliderState:
+    position: Vec3
+    attitude: Attitude
+    speed: float
+    mode: str = "follow"
+
+
+@dataclass(frozen=True, slots=True)
+class RefSampleSurface:
+    center: Vec3
+    attitude: Attitude
+    headings: tuple
+    glides: tuple
+    reach: float
+    dpsi: tuple
+    dtheta: tuple
+
+
+@dataclass(frozen=True, slots=True)
+class RefGotoCommand:
+    target: Vec3
+    psi_d: float
+    theta_d: float
+    potential: float
+
+
+@dataclass(frozen=True, slots=True)
+class RefEscapeState:
+    mode: str = "inactive"
+    residual_vx: float = 0.0
+    residual_vy: float = 0.0
+    progress_history: tuple = ()
+
+
+@dataclass(frozen=True, slots=True)
+class RefWorldState:
+    glider: GliderState
+    obstacles: tuple = ()
+    flow: VortexFlow | None = None
+    bounds: Bounds = Bounds()
+    body_radius: float = 0.6
+    time: float = 0.0
+    clearance: float = math.inf
+    tracked: frozenset = frozenset()
+    index: object = field(default=None, compare=False, repr=False)
+
+
+def twins(cls, ref, *values):
+    """The type and its frozen reference, built from the same field objects."""
+    return st.tuples(*values).map(lambda v: (cls(*v), ref(*v)))
+
+
+def rows(width):
+    return st.lists(st.tuples(*[FIELD] * width), max_size=3).map(tuple)
+
+
+POINTS = VEC3S.map(lambda pair: pair[0])
+ATTITUDES = st.builds(Attitude, FIELD, FIELD)
+GLIDERS = st.builds(GliderState, POINTS, ATTITUDES, FIELD,
+                    st.sampled_from(["follow", "escape"]))
+FINITE = st.sampled_from([0.0, -0.0, 2.5, 40.0])
+# finite centres: the obstacle index files each one in a grid cell
+WORLD_OBSTACLES = st.lists(st.builds(
+    Obstacle, st.just(SPHERE), st.sampled_from([1.0, 3.0]),
+    st.builds(Vec3, FINITE, FINITE, FINITE)), max_size=3).map(tuple)
+STEP_TYPES = {
+    "Attitude": twins(Attitude, RefAttitude, FIELD, FIELD),
+    "GliderState": twins(GliderState, RefGliderState, POINTS, ATTITUDES, FIELD,
+                         st.sampled_from(["follow", "escape"])),
+    "SampleSurface": twins(SampleSurface, RefSampleSurface, POINTS, ATTITUDES,
+                           rows(3), rows(6), FIELD, rows(1), rows(1)),
+    "GotoCommand": twins(GotoCommand, RefGotoCommand, POINTS, FIELD, FIELD, FIELD),
+    "EscapeState": twins(EscapeState, RefEscapeState,
+                         st.sampled_from(["inactive", "ascending", "descending"]),
+                         FIELD, FIELD, st.lists(FIELD, max_size=3).map(tuple)),
+    "WorldState": twins(WorldState, RefWorldState, GLIDERS, WORLD_OBSTACLES,
+                        st.sampled_from([None, VortexFlow()]),
+                        st.sampled_from([Bounds(), Bounds(50.0, 50.0, 20.0)]),
+                        FIELD, FIELD, FIELD,
+                        st.frozensets(st.integers(0, 3), max_size=3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_TYPES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_step_types_compare_hash_print_and_replace_like_frozen_dataclasses(name, data):
+    a, ref_a = data.draw(STEP_TYPES[name])
+    b, ref_b = data.draw(STEP_TYPES[name])
+    assert [f.name for f in fields(a)] == [f.name for f in fields(ref_a)]
+    assert_same_semantics(a, ref_a, b, ref_b)
+    # replace() one compared field with b's: a copy that may now equal b
+    key = data.draw(st.sampled_from([f.name for f in fields(a) if f.compare]))
+    new, ref_new = (replace(x, **{key: getattr(b, key)}) for x in (a, ref_a))
+    assert_same_semantics(new, ref_new, b, ref_b)
+    if name == "WorldState":  # built once, in __post_init__, then carried on
+        assert new.index is a.index and a.index.obstacles == a.obstacles
+
+
 # --- nothing assigns those fields ---------------------------------------------
 
 ROOT = Path(__file__).resolve().parent.parent
-FIELDS = {"x", "y", "z", "position", "velocity", "psi", "theta", "speed",
-          "shape", "radius", "center"}
+# every field of the types that do not refuse assignment, and of Candidate
+FIELDS = {*Vec3.__slots__, *Obstacle.__slots__,
+          *(f.name for cls in (Candidate, Attitude, GliderState, SampleSurface,
+                               GotoCommand, EscapeState, WorldState)
+            for f in fields(cls))}
 SETTERS = {"setattr", "delattr", "__setattr__", "__delattr__"}
 
 
@@ -444,16 +560,20 @@ def test_the_field_guard_sees_every_kind_of_write():
         (6, "f", "speed"), (7, "f", "z")]
 
 
-def test_nothing_assigns_the_fields_of_vec3_or_candidate():
-    # Vec3 and Obstacle do not refuse assignment, and ZERO is shared by
-    # every caller: only Vec3's own __init__ may write its names, and only
-    # Obstacle's __init__ and the drift step, which fills a new Obstacle,
-    # may write Obstacle's. Candidate is a frozen dataclass again, but
-    # nothing should try either.
+def test_nothing_assigns_the_fields_of_the_value_types():
+    # Vec3, Obstacle and the six per-step dataclasses do not refuse
+    # assignment, and ZERO and the worlds' shared index are seen by every
+    # caller: only Vec3's own __init__ may write its names, only Obstacle's
+    # __init__ and the drift step, which fills a new Obstacle, may write
+    # Obstacle's, and only WorldState.__post_init__ fills a world's index.
+    # ObstacleIndex.__init__ writes its own `obstacles`, which shares a
+    # name with WorldState's. Candidate is frozen, but nothing should try.
     ob_fields = {"shape", "radius", "center", "velocity"}
     allowed = {("src/mppf/geometry.py", "Vec3.__init__"): {"x", "y", "z"},
                ("src/mppf/environment.py", "Obstacle.__init__"): ob_fields,
-               ("src/mppf/environment.py", "_advance_obstacle"): ob_fields}
+               ("src/mppf/environment.py", "_advance_obstacle"): ob_fields,
+               ("src/mppf/environment.py", "ObstacleIndex.__init__"): {"obstacles"},
+               ("src/mppf/environment.py", "WorldState.__post_init__"): {"index"}}
     seen = {key: set() for key in allowed}
     writes = []
     for path in sorted([*(ROOT / "src" / "mppf").rglob("*.py"),

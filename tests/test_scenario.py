@@ -177,6 +177,13 @@ def test_negative_seeds_rejected():
         "count": 1, "seed": 0}}).random_obstacles.seed == 0
 
 
+def test_materialize_obstacles_refuses_a_negative_seed():
+    sc = load_scenario(ROOT / "scenarios" / "random_static.yaml")
+    assert len(scenario.materialize_obstacles(sc, 3)) == 30
+    with pytest.raises(ValueError, match="seed must be non-negative, got -3"):
+        scenario.materialize_obstacles(sc, -3)
+
+
 def test_random_seed_reads_like_every_integer_field():
     assert problems({"random_obstacles": {"seed": True}}) == [
         "random_obstacles.seed: expected a number"]

@@ -72,3 +72,9 @@ def test_bucket_search_finds_the_first_of_the_hdist_minima(track):
     samples = [SimpleNamespace(position=Vec3(x, y, 2.0)) for x, y in xy]
     obstacles = [Obstacle(SPHERE, 1.0, Vec3(cx, cy, 5.0)) for cx, cy in centres]
     assert _nearest_samples(samples, obstacles) == oracle(samples, obstacles)
+
+
+def test_no_obstacles_means_no_search():
+    # an obstacle-free run places nothing, so the samples are never read
+    assert _nearest_samples([], []) == []
+    assert _nearest_samples([SimpleNamespace()], ()) == []
