@@ -6,15 +6,11 @@ exactly (no dynamics, no noise), which keeps whole runs bit-deterministic.
 Obstacles are spheres (optionally drifting, reflecting off the domain walls)
 or static vertical cylinders spanning the water column.
 
-Every moving sphere is rebuilt on every step, so Obstacle is a plain
-__slots__ class like geometry.Vec3, not a frozen dataclass: it compares,
-hashes and prints as one would, but its fields can be assigned. Only its
-own __init__ and _advance_obstacle, which fills a new one, may assign
-them; an AST test in tests/test_geometry.py enforces that. WorldState,
-rebuilt on every step too, is a slotted dataclass with unsafe_hash=True:
-it compares, hashes, prints and replace()s as a frozen one would, and the
-same test lets only its __post_init__, which fills `index`, assign its
-fields. VortexFlow, SonarModel and Bounds, built once per run, are frozen.
+Obstacle and WorldState, rebuilt on every step, and VortexFlow, SonarModel
+and Bounds, built once per run, follow the value-type rule in the geometry
+module docstring. Only _advance_obstacle, which fills a new Obstacle
+without its checks, and WorldState.__post_init__, which fills `index`,
+assign their fields.
 """
 
 from __future__ import annotations
@@ -40,38 +36,23 @@ _INDEX_CELL = 20.0
 _SKIN = 10.0
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class Obstacle:
     """A sphere, optionally drifting, or a static full-column cylinder.
-    Immutable by convention only: see the module docstring."""
+    Immutable by convention only: see the geometry module docstring."""
 
-    __slots__ = ("shape", "radius", "center", "velocity")
+    shape: str
+    radius: float
+    center: Vec3
+    velocity: Vec3 = ZERO
 
-    def __init__(self, shape: str, radius: float, center: Vec3,
-                 velocity: Vec3 = ZERO):
-        if shape not in (SPHERE, CYLINDER):
-            raise ValueError(f"unknown obstacle shape: {shape!r}")
-        if radius <= 0.0:
+    def __post_init__(self):
+        if self.shape not in (SPHERE, CYLINDER):
+            raise ValueError(f"unknown obstacle shape: {self.shape!r}")
+        if self.radius <= 0.0:
             raise ValueError("obstacle radius must be positive")
-        if shape == CYLINDER and velocity != ZERO:
+        if self.shape == CYLINDER and self.velocity != ZERO:
             raise ValueError("cylinder obstacles are static")
-        self.shape = shape
-        self.radius = radius
-        self.center = center
-        self.velocity = velocity
-
-    def __repr__(self) -> str:
-        return (f"Obstacle(shape={self.shape!r}, radius={self.radius!r}, "
-                f"center={self.center!r}, velocity={self.velocity!r})")
-
-    # a frozen dataclass's comparison, as for Vec3
-    def __eq__(self, o):
-        if o.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.shape, self.radius, self.center, self.velocity)
-                == (o.shape, o.radius, o.center, o.velocity))
-
-    def __hash__(self) -> int:
-        return hash((self.shape, self.radius, self.center, self.velocity))
 
 
 @dataclass(frozen=True, slots=True)

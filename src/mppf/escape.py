@@ -8,8 +8,10 @@ obstacle group is out of the critical zone, then replan from there.
 
 Detection is a conjunction: the last `window` steps made less than
 `progress_epsilon` meters of net progress toward the active waypoint AND
-an obstacle sample point sits inside the critical zone. Stalls without a
-nearby obstacle are flow effects and stay the planner's problem.
+the nearest obstacle sample point sits inside its own obstacle's critical
+zone (R + hull + cz_margin); a farther point inside a larger obstacle's
+zone does not count. Stalls without a nearby obstacle are flow effects and
+stay the planner's problem.
 """
 
 from __future__ import annotations

@@ -23,19 +23,18 @@ as dict keys while the rows built from them can differ in the sign of a
 zero. The entries hold no caller's state, so every caller in the process
 may share them.
 
-Vec3 is built several times per simulated step, so it is a plain
-__slots__ class whose __init__ stores the fields directly; a frozen
-dataclass sets each field through object.__setattr__, at about three
-times the cost. Its __eq__, __hash__ and __repr__ behave as a frozen
-dataclass's would, but its fields can be assigned. Nothing may assign
+One rule covers the value types of the package (the plain records of a
+finished run in harness aside). A type built on every step (Vec3,
+Attitude, GliderState, SampleSurface, and elsewhere environment.Obstacle
+and WorldState, potentials.GotoCommand and escape.EscapeState) is a
+slotted dataclass with unsafe_hash=True: it compares, hashes, prints and
+replace()s as a frozen one would, without a frozen dataclass's
+constructor, which sets each field through object.__setattr__ at about
+three times the cost. Its fields can be assigned, so nothing may assign
 them, least of all those of the shared ZERO; an AST test in
-tests/test_geometry.py enforces that. environment.Obstacle is built the
-same way, for the same reason. Attitude, GliderState and SampleSurface,
-also built on every step, are slotted dataclasses with unsafe_hash=True
-rather than frozen ones, for the same reason: they compare, hash, print
-and replace() as frozen ones would, and the same test keeps their fields
-unassigned. GliderSpec and Candidate, built once per run or only on
-request, stay frozen.
+tests/test_geometry.py enforces that. A type built once per run or on
+request (GliderSpec, Candidate, the parameter, config and scenario
+types) is frozen.
 """
 
 from __future__ import annotations
@@ -58,29 +57,14 @@ def angle_diff(a: float, b: float) -> float:
     return wrap_angle(a - b)
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class Vec3:
     """A point or displacement, meters (or a velocity, m/s). Immutable by
     convention only: see the module docstring."""
 
-    __slots__ = ("x", "y", "z")
-
-    def __init__(self, x: float, y: float, z: float):
-        self.x = x
-        self.y = y
-        self.z = z
-
-    def __repr__(self) -> str:
-        return f"Vec3(x={self.x!r}, y={self.y!r}, z={self.z!r})"
-
-    # a frozen dataclass's comparison: tuples, so a field compares equal to
-    # itself even when it is a NaN
-    def __eq__(self, o):
-        if o.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.x, self.y, self.z) == (o.x, o.y, o.z)
-
-    def __hash__(self) -> int:
-        return hash((self.x, self.y, self.z))
+    x: float
+    y: float
+    z: float
 
     def __add__(self, o: "Vec3") -> "Vec3":
         return Vec3(self.x + o.x, self.y + o.y, self.z + o.z)

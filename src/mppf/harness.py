@@ -150,7 +150,8 @@ class _Samples(dict):
       among equals. Obstacles are visited by (surface distance, index)
       until the next one's surface distance exceeds the best point
       distance so far + 1 m: its points, and every later obstacle's, lie
-      farther than the best, so they can neither beat it nor tie it.
+      farther than the best, so they can neither beat it nor tie it (the
+      nearest-first bound of Friedman, Bentley & Finkel, 1977).
     - kernel: the obstacles within their kernel reach (kernel_reaches),
       so grid_potentials hands the kernel the points it gets from all.
     - column: every culled obstacle, for the escape's start.

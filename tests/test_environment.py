@@ -399,6 +399,9 @@ def test_advance_obstacle_reflects_bit_for_bit(axes, dt):
     assert [(c.hex(), v.hex()) for c, v in got] == [
         (c.hex(), v.hex()) for c, v in want]
     assert (nxt.shape, nxt.radius) == (ob.shape, ob.radius)
+    # the fill skips __init__: it must still set every field a built one has
+    built = Obstacle(ob.shape, ob.radius, nxt.center, nxt.velocity)
+    assert (nxt == built, hash(nxt), repr(nxt)) == (True, hash(built), repr(built))
     if all(0.0 <= c + v * dt <= hi for c, v, hi in axes):
         assert nxt.velocity is ob.velocity
     else:

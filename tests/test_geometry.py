@@ -1,6 +1,6 @@
 """Sample-surface construction, the angle/vector helpers under it, and the
-value types: Vec3 and environment.Obstacle (hand-written), Candidate
-(frozen), and the six per-step dataclasses that do not refuse assignment."""
+value types: Candidate (frozen) and the eight per-step dataclasses, Vec3
+and environment.Obstacle among them, that do not refuse assignment."""
 
 import ast
 import math
@@ -511,10 +511,9 @@ def test_step_types_compare_hash_print_and_replace_like_frozen_dataclasses(name,
 
 ROOT = Path(__file__).resolve().parent.parent
 # every field of the types that do not refuse assignment, and of Candidate
-FIELDS = {*Vec3.__slots__, *Obstacle.__slots__,
-          *(f.name for cls in (Candidate, Attitude, GliderState, SampleSurface,
-                               GotoCommand, EscapeState, WorldState)
-            for f in fields(cls))}
+FIELDS = {f.name for cls in (Vec3, Obstacle, Candidate, Attitude, GliderState,
+                             SampleSurface, GotoCommand, EscapeState, WorldState)
+          for f in fields(cls)}
 SETTERS = {"setattr", "delattr", "__setattr__", "__delattr__"}
 
 
@@ -561,17 +560,15 @@ def test_the_field_guard_sees_every_kind_of_write():
 
 
 def test_nothing_assigns_the_fields_of_the_value_types():
-    # Vec3, Obstacle and the six per-step dataclasses do not refuse
+    # Vec3, Obstacle and the six other per-step dataclasses do not refuse
     # assignment, and ZERO and the worlds' shared index are seen by every
-    # caller: only Vec3's own __init__ may write its names, only Obstacle's
-    # __init__ and the drift step, which fills a new Obstacle, may write
-    # Obstacle's, and only WorldState.__post_init__ fills a world's index.
-    # ObstacleIndex.__init__ writes its own `obstacles`, which shares a
-    # name with WorldState's. Candidate is frozen, but nothing should try.
+    # caller: only the drift step, which fills a new Obstacle without its
+    # checks, may write Obstacle's names, and only WorldState.__post_init__
+    # fills a world's index. ObstacleIndex.__init__ writes its own
+    # `obstacles`, which shares a name with WorldState's. Candidate is
+    # frozen, but nothing should try.
     ob_fields = {"shape", "radius", "center", "velocity"}
-    allowed = {("src/mppf/geometry.py", "Vec3.__init__"): {"x", "y", "z"},
-               ("src/mppf/environment.py", "Obstacle.__init__"): ob_fields,
-               ("src/mppf/environment.py", "_advance_obstacle"): ob_fields,
+    allowed = {("src/mppf/environment.py", "_advance_obstacle"): ob_fields,
                ("src/mppf/environment.py", "ObstacleIndex.__init__"): {"obstacles"},
                ("src/mppf/environment.py", "WorldState.__post_init__"): {"index"}}
     seen = {key: set() for key in allowed}
