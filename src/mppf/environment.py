@@ -27,10 +27,9 @@ CYLINDER = "cylinder"
 # angular offsets of the 3x3 surface sampling grid, and their (cos, sin)
 _CAP_OFFSETS = (-math.radians(60.0), 0.0, math.radians(60.0))
 _CAP_TRIG = tuple((math.cos(a), math.sin(a)) for a in _CAP_OFFSETS)
-# cell side of the obstacle index. Any side gives the same answers; on the
-# anchorage field sides of 5 to 80 m cost the same within noise, and from
-# 20 m up glider_clearance never falls back to a full scan there
-_INDEX_CELL = 20.0
+# reach of the skin list glider_clearance reads before any full scan; from
+# 20 m up it never falls back to one on the anchorage field
+_CLEAR_REACH = 20.0
 # how far a query may lie from the anchor of an index skin list and still
 # reuse it; on the anchorage field 5 and 10 m cost the same, 20 m more
 _SKIN = 10.0
@@ -79,51 +78,36 @@ class Bounds:
 
 
 class ObstacleIndex:
-    """Broad phase for the per-obstacle passes: a uniform x-y grid over the
-    static obstacles, a skin list per reach in front of it, plus the list of
-    moving ones.
+    """Broad phase for the per-obstacle passes: a skin list per reach over
+    the static obstacles, plus the list of moving ones.
 
-    A static obstacle sits in the one square cell of side `cell` that holds
-    its center. A surface within `reach` of a point puts the center within
-    reach + radius of it horizontally, for spheres and pillars alike, so the
-    grid reads the cells overlapping the square of half-side reach + pad
-    around the point, where pad is the largest static radius plus 1 m to
-    absorb rounding. It walks that square's cells or, when fewer cells are
-    occupied, just the occupied ones, so an empty field costs nothing.
-
-    The grid's answer is kept as a skin list (a Verlet neighbour list): for
-    each distinct reach, an anchor point and the sorted static indices whose
-    surface lies within reach + _SKIN + 1 m of it. Any point within _SKIN of
-    the anchor reuses that list, since by the triangle inequality a surface
-    within reach of the point lies within reach + _SKIN of the anchor, and
-    the 1 m absorbs rounding; a point farther away rebuilds it from the grid
-    at itself. The list is a memo of a pure function of the point and the
-    reach, so the answer is a superset of the exact one whatever the order
-    of the queries, and every world of a run may share the index.
+    A skin list (a Verlet neighbour list) keeps, for one reach, an anchor
+    point and the sorted static indices whose surface lies within
+    reach + _SKIN + 1 m of it, found by one pass over the static
+    obstacles. Any point within _SKIN of the anchor reuses that list, since
+    by the triangle inequality a surface within reach of the point lies
+    within reach + _SKIN of the anchor, and the 1 m absorbs rounding; a
+    point farther away rebuilds it at itself. The list is a memo of a pure
+    function of the point and the reach, so the answer is a superset of the
+    exact one whatever the order of the queries, and every world of a run
+    may share the index.
 
     Obstacles move only when their velocity is nonzero and keep it nonzero
-    (walls only flip its sign), so the grid and the skin lists stay exact
-    for a whole run and advance_world advances only `moving`. Callers apply
-    their exact test.
+    (walls only flip its sign), so the skin lists stay exact for a whole
+    run and advance_world advances only `moving`. Callers apply their exact
+    test.
     """
 
-    __slots__ = ("cell", "pad", "cells", "moving", "obstacles", "lists")
+    __slots__ = ("moving", "static", "obstacles", "lists")
 
-    def __init__(self, obstacles, cell: float = _INDEX_CELL):
-        self.cell = cell
+    def __init__(self, obstacles):
         # the initial obstacles; only the static ones, which never move, are read
         self.obstacles = tuple(obstacles)
-        moving, r_max, cells = [], 0.0, {}
+        moving, static = [], []
         for i, ob in enumerate(self.obstacles):
-            if ob.velocity != ZERO:
-                moving.append(i)
-                continue
-            r_max = max(r_max, ob.radius)
-            key = (math.floor(ob.center.x / cell), math.floor(ob.center.y / cell))
-            cells.setdefault(key, []).append(i)
+            (static if ob.velocity == ZERO else moving).append(i)
         self.moving = tuple(moving)
-        self.pad = r_max + 1.0
-        self.cells: dict[tuple[int, int], list[int]] = cells
+        self.static = tuple(static)
         # reach -> (anchor, sorted static indices within reach + _SKIN + 1 m)
         self.lists: dict[float, tuple[Vec3, list[int]]] = {}
 
@@ -132,41 +116,16 @@ class ObstacleIndex:
         `reach` of p: a superset of the exact answer. An infinite reach
         returns every obstacle."""
         out = list(self.moving)
-        if self.cells:
+        if self.static:
             hit = self.lists.get(reach)
             if hit is None or p.dist(hit[0]) > _SKIN:
-                hit = (p, self._static_within(p, reach + _SKIN + 1.0))
+                r, obstacles = reach + _SKIN + 1.0, self.obstacles
+                hit = (p, [i for i in self.static
+                           if surface_distance(obstacles[i], p) <= r])
                 self.lists[reach] = hit
             out += hit[1]
             if self.moving:
                 out.sort()
-        return out
-
-    def _static_within(self, p: Vec3, reach: float) -> list[int]:
-        """Sorted indices of the static obstacles whose surface lies within
-        `reach` of p, read from the grid cells."""
-        out = []
-        cells = self.cells
-        r, c = reach + self.pad, self.cell
-        if r == math.inf:  # unbounded: the scan below reads every cell
-            x0 = y0 = -r
-            x1 = y1 = r
-        else:
-            x0, x1 = math.floor((p.x - r) / c), math.floor((p.x + r) / c)
-            y0, y1 = math.floor((p.y - r) / c), math.floor((p.y + r) / c)
-        if (x1 - x0 + 1) * (y1 - y0 + 1) <= len(cells):
-            for cx in range(x0, x1 + 1):
-                for cy in range(y0, y1 + 1):
-                    hit = cells.get((cx, cy))
-                    if hit:
-                        out += hit
-        else:
-            for (cx, cy), hit in cells.items():
-                if x0 <= cx <= x1 and y0 <= cy <= y1:
-                    out += hit
-        obstacles = self.obstacles
-        out = [i for i in out if surface_distance(obstacles[i], p) <= reach]
-        out.sort()
         return out
 
 
@@ -383,18 +342,18 @@ def glider_clearance(obstacles: tuple[Obstacle, ...], index: ObstacleIndex,
                      position: Vec3, body_radius: float) -> float:
     """Smallest hull-to-surface distance; +inf in open water.
 
-    The nearest of the index's candidates within one cell is the nearest
-    of all when its surface lies within that cell's reach, or when there
+    The nearest of the index's candidates within _CLEAR_REACH is the
+    nearest of all when its surface lies within that reach, or when there
     are no static obstacles (the moving ones are always candidates);
     otherwise every obstacle is scanned. Rounding is monotone, so
     subtracting the hull after the minimum gives the same bits as before it.
     """
     best = math.inf
-    for i in index.near(position, index.cell):
+    for i in index.near(position, _CLEAR_REACH):
         d = surface_distance(obstacles[i], position)
         if d < best:
             best = d
-    if best > index.cell and index.cells:
+    if best > _CLEAR_REACH and index.static:
         for ob in obstacles:
             d = surface_distance(ob, position)
             if d < best:

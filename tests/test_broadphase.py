@@ -2,12 +2,11 @@
 
 Every pass that reads `WorldState.index` (visibility, the sensing cull,
 hull clearance, world advance) must give what a linear scan over all
-obstacles gives, bit for bit, whatever the cell size. Fields mix static
-and moving spheres with pillars, and an obstacle may sit exactly at a
-query's reach, as far out as rounding lets it count, with its center on a
-cell edge, where a grid that pads its query too little misses it. One
-index queried along a walk must stay exact while it reuses its skin
-lists, wherever the walk goes next.
+obstacles gives, bit for bit. Fields mix static and moving spheres with
+pillars, and an obstacle may sit exactly at a pass's reach, as far out as
+rounding lets it count. One index queried along a walk must stay exact
+while it reuses its skin lists, wherever the walk goes next, and each of
+its skin lists must be the scan at the list's anchor.
 """
 
 import math
@@ -19,6 +18,7 @@ from hypothesis import strategies as st
 
 from mppf import harness
 from mppf.environment import (
+    _CLEAR_REACH,
     _SKIN,
     Bounds,
     Obstacle,
@@ -38,8 +38,6 @@ from mppf.scenario import load_scenario, materialize_obstacles
 
 BOUNDS = Bounds(200.0, 200.0, 50.0)
 HULL = 0.6
-# powers of two, so a center placed on a cell edge is exactly on it
-CELLS = (0.5, 2.0, 8.0, 16.0, 64.0)
 # heading that faces along +-x or +-y
 FACING = {("x", 1.0): 0.0, ("x", -1.0): math.pi,
           ("y", 1.0): 0.5 * math.pi, ("y", -1.0): -0.5 * math.pi}
@@ -84,20 +82,16 @@ def free_obstacle(draw):
 
 
 @st.composite
-def edge_case(draw, g, cell, reach, counts):
-    """A static obstacle centered on the far side of a cell edge, and the
-    vehicle facing it along an axis at the farthest position where
+def edge_case(draw, g, reach, counts):
+    """A static obstacle whose surface lies one reach ahead of the vehicle
+    along an axis, and the vehicle facing it at the farthest position where
     counts(obstacle, vehicle) still holds: rounding sets that limit, and a
-    grid whose query pad lacks its margin misses the obstacle there."""
+    pass that counts the obstacle there must get it from the index."""
     r = draw(floats(0.2, 15.0))
     axis, sign = draw(st.sampled_from("xy")), draw(st.sampled_from((-1.0, 1.0)))
-    psi = FACING[axis, sign]
-    edge = round((getattr(g.position, axis) + sign * (reach + r)) / cell) * cell
-    if sign < 0.0:  # cells are closed below: go to the last float under it
-        edge = math.nextafter(edge, -math.inf)
-    g = moved(GliderState(g.position, Attitude(psi, 0.0), g.speed), axis,
-              edge - sign * (reach + r))
+    g = GliderState(g.position, Attitude(FACING[axis, sign], 0.0), g.speed)
     p = g.position
+    edge = getattr(p, axis) + sign * (reach + r)
     c = Vec3(edge, p.y, p.z) if axis == "x" else Vec3(p.x, edge, p.z)
     if draw(st.booleans()):
         ob = Obstacle("cylinder", r, Vec3(c.x, c.y, 0.0))
@@ -107,11 +101,10 @@ def edge_case(draw, g, cell, reach, counts):
 
 
 def fields(edge):
-    """(world, sonar, cull) triples; edge(sonar, cull, cell) gives the reach
-    and the within-reach test of the optional edge case."""
+    """(world, sonar, cull) triples; edge(sonar, cull) gives the reach and
+    the within-reach test of the optional edge case."""
     @st.composite
     def build(draw):
-        cell = draw(st.sampled_from(CELLS))
         sonar = SonarModel(range=draw(floats(1.0, 120.0)))
         cull = draw(floats(0.5, 40.0))
         g = GliderState(Vec3(draw(floats(0.0, 200.0)), draw(floats(0.0, 200.0)),
@@ -120,10 +113,9 @@ def fields(edge):
                                  draw(floats(-0.7, 0.7))), 0.3)
         obstacles = draw(st.lists(free_obstacle(), max_size=20))
         if draw(st.booleans()):
-            g, ob = draw(edge_case(g, cell, *edge(sonar, cull, cell)))
+            g, ob = draw(edge_case(g, *edge(sonar, cull)))
             obstacles.insert(draw(st.integers(0, len(obstacles))), ob)
-        world = WorldState(g, tuple(obstacles), None, BOUNDS, HULL,
-                           index=ObstacleIndex(obstacles, cell))
+        world = WorldState(g, tuple(obstacles), None, BOUNDS, HULL)
         return world, sonar, cull
     return build()
 
@@ -148,11 +140,12 @@ def tracked_sets(n):
 
 
 @settings(max_examples=300, deadline=None)
-@given(fields(lambda sonar, cull, cell: (cull, within(cull))))
+@given(fields(lambda sonar, cull: (cull, within(cull))))
 def test_near_holds_every_obstacle_within_reach(case):
     """The superset each pass filters: clearance takes its minimum over
-    near(p, cell) without a scan whenever that minimum lies within the
-    cell, so it is exact only if no obstacle within reach is left out."""
+    near(p, _CLEAR_REACH) without a scan whenever that minimum lies within
+    _CLEAR_REACH, so it is exact only if no obstacle within reach is left
+    out."""
     world, _, reach = case
     p = world.glider.position
     got = world.index.near(p, reach)
@@ -162,31 +155,51 @@ def test_near_holds_every_obstacle_within_reach(case):
 
 
 def test_near_with_an_infinite_reach_returns_every_obstacle():
-    """A reach that overflowed to +inf bounds no square of cells."""
+    """A reach that overflowed to +inf leaves out no obstacle: its skin
+    list's bound is +inf too."""
     obstacles = (Obstacle("sphere", 2.0, Vec3(190.0, 10.0, 5.0)),
                  Obstacle("sphere", 1.0, Vec3(20.0, 20.0, 5.0), Vec3(0.5, 0.0, 0.0)),
                  Obstacle("cylinder", 3.0, Vec3(5.0, 180.0, 0.0)),
                  Obstacle("sphere", 4.0, Vec3(100.0, 100.0, 40.0)))
-    index = ObstacleIndex(obstacles, 8.0)
+    index = ObstacleIndex(obstacles)
     for p in (Vec3(0.0, 0.0, 0.0), Vec3(150.0, 60.0, 20.0)):
         assert index.near(p, math.inf) == [0, 1, 2, 3]
 
 
 def test_clearance_sees_a_large_sphere_centered_past_the_reach():
-    """The nearest surface is a large sphere's, centered two cells off; a
-    small sphere within the cell is farther. A grid that pads its query by
-    less than the largest radius finds only the small one, and no scan
-    fallback covers that, since its distance is within the cell."""
-    big = Obstacle("sphere", 19.0, Vec3(124.0, 100.0, 25.0))
-    small = Obstacle("sphere", 0.5, Vec3(100.0, 108.0, 25.0))
+    """The nearest surface, 17 m off, is a large sphere's, centered 36 m
+    off: past the clearance reach and its skin list's bound,
+    _CLEAR_REACH + _SKIN + 1 m. A small sphere centered within them is
+    farther. An index that kept obstacles by their center's distance would
+    find only the small one, and no scan fallback covers that, since its
+    distance is within the reach."""
+    assert 17.0 < _CLEAR_REACH < 36.0 - _SKIN - 1.0
+    big = Obstacle("sphere", 19.0, Vec3(136.0, 100.0, 25.0))
+    small = Obstacle("sphere", 0.5, Vec3(100.0, 118.5, 25.0))
     obstacles = (small, big)
     p = Vec3(100.0, 100.0, 25.0)
-    got = glider_clearance(obstacles, ObstacleIndex(obstacles, 10.0), p, HULL)
-    assert got == 5.0 - HULL
+    got = glider_clearance(obstacles, ObstacleIndex(obstacles), p, HULL)
+    assert got == 17.0 - HULL
+
+
+def test_clearance_scans_past_the_reach_of_a_reused_list():
+    """The list anchored at a is reused one skin away at p. It holds a
+    sphere 21.75 m from p but not the nearest, 21.5 m from p and 31.5 m
+    from a, past the list's bound. A minimum over the list beyond
+    _CLEAR_REACH must fall back to the scan: a threshold 1.75 m higher
+    would keep 21.75."""
+    a, p = Vec3(100.0, 100.0, 25.0), Vec3(100.0 + _SKIN, 100.0, 25.0)
+    side = Obstacle("sphere", 1.0, Vec3(p.x, p.y + 22.75, 25.0))
+    ahead = Obstacle("sphere", 1.0, Vec3(p.x + 22.5, p.y, 25.0))
+    obstacles = (side, ahead)
+    index = ObstacleIndex(obstacles)
+    glider_clearance(obstacles, index, a, HULL)
+    assert index.near(p, _CLEAR_REACH) == [0]
+    assert glider_clearance(obstacles, index, p, HULL) == 21.5 - HULL
 
 
 @settings(max_examples=300, deadline=None)
-@given(fields(lambda sonar, cull, cell: (sonar.range, in_view(sonar))), st.data())
+@given(fields(lambda sonar, cull: (sonar.range, in_view(sonar))), st.data())
 def test_visibility_matches_a_scan(case, data):
     world, sonar, _ = case
     obstacles, g = world.obstacles, world.glider
@@ -198,7 +211,7 @@ def test_visibility_matches_a_scan(case, data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(fields(lambda sonar, cull, cell: (cull, within(cull))), st.data())
+@given(fields(lambda sonar, cull: (cull, within(cull))), st.data())
 def test_cull_matches_a_scan(case, data):
     world, _, cull = case
     obstacles, pos = world.obstacles, world.glider.position
@@ -211,10 +224,10 @@ def test_cull_matches_a_scan(case, data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(fields(lambda sonar, cull, cell: (cell, within(cell))), st.data())
+@given(fields(lambda sonar, cull: (_CLEAR_REACH, within(_CLEAR_REACH))), st.data())
 def test_clearance_and_advance_match_a_scan(case, data):
     """Bit-identical clearance whether or not the nearest obstacle lies
-    within the index's reach (the scan fallback), before and after the
+    within _CLEAR_REACH (else the scan fallback), before and after the
     moving obstacles advance; the static ones stay where they are, even
     outside the walls, which would reflect a moving one."""
     world, _, _ = case
@@ -302,27 +315,22 @@ def edge_walk(draw, world, reaches):
     return [jump, a, q, past]
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_one_index_along_a_walk_matches_a_scan(data):
-    """An index keeps a skin list per reach and reuses it while the query
-    stays within one skin of the list's anchor. Along a walk of sub-metre
-    steps, jumps past the skin, returns near earlier points (old anchors)
-    and points exactly one skin from an anchor and one float past it, with
-    two sonar ranges and two cull radii besides the clearance's cell,
-    every pass must equal a linear scan at every point."""
-    draw = data.draw
-    cell = draw(st.sampled_from(CELLS))
+def walk_an_index(draw, visit):
+    """Draws a field, two sonar ranges and two cull radii, then walks one
+    index along sub-metre steps, jumps past the skin, returns near earlier
+    points (old anchors) and edge walks, which visit points exactly one
+    skin from an anchor and one float past it. At every point it calls
+    visit(world, sonars, culls)."""
     sonars = [SonarModel(range=draw(floats(1.0, 120.0))) for _ in range(2)]
     culls = [draw(floats(0.5, 40.0)) for _ in range(2)]
     obstacles = draw(st.lists(free_obstacle(), min_size=1, max_size=20))
     g = GliderState(Vec3(draw(floats(0.0, 200.0)), draw(floats(0.0, 200.0)),
                          draw(floats(0.0, 50.0))), Attitude(0.0, 0.0), 0.3)
-    world = WorldState(g, tuple(obstacles), None, BOUNDS, HULL,
-                       index=ObstacleIndex(obstacles, cell))
+    world = WorldState(g, tuple(obstacles), None, BOUNDS, HULL)
     has_static = len(world.index.moving) < len(obstacles)
     reaches = ([(s.range, in_view(s)) for s in sonars]
-               + [(r, within(r)) for r in culls] + [(cell, within(cell))])
+               + [(r, within(r)) for r in culls]
+               + [(_CLEAR_REACH, within(_CLEAR_REACH))])
     visited = [g.position]
     for _ in range(draw(st.integers(4, 14))):
         p = world.glider.position
@@ -345,8 +353,7 @@ def test_one_index_along_a_walk_matches_a_scan(data):
         for k, g in enumerate(walk):
             world = advance_world(world, g, draw(floats(0.1, 30.0)))
             visited.append(g.position)
-            check_every_pass(world, sonars, culls,
-                             frozenset(draw(tracked_sets(len(obstacles)))))
+            visit(world, sonars, culls)
             if len(walk) == 4 and k == 1:  # the anchor: every list rebuilt here
                 assert {a for a, _ in world.index.lists.values()} == {g.position}
         if len(walk) == 4:
@@ -354,33 +361,67 @@ def test_one_index_along_a_walk_matches_a_scan(data):
             assert a.dist(q) <= _SKIN < a.dist(past)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_one_index_along_a_walk_matches_a_scan(data):
+    """An index keeps a skin list per reach and reuses it while the query
+    stays within one skin of the list's anchor. Along every walk, with two
+    sonar ranges and two cull radii besides the clearance reach, every
+    pass must equal a linear scan at every point."""
+    def visit(world, sonars, culls):
+        tracked = data.draw(tracked_sets(len(world.obstacles)))
+        check_every_pass(world, sonars, culls, frozenset(tracked))
+
+    walk_an_index(data.draw, visit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_every_skin_list_is_the_scan_at_its_anchor(data):
+    """Not only a superset: after every query along a walk, each skin list
+    holds exactly the static obstacles whose surface lies within
+    reach + _SKIN + 1 m of its anchor, in index order."""
+    def visit(world, sonars, culls):
+        p = world.glider.position
+        reaches = {s.range for s in sonars} | set(culls) | {_CLEAR_REACH}
+        for reach in reaches:
+            world.index.near(p, reach)
+        static = [i for i, ob in enumerate(world.obstacles) if ob.velocity == ZERO]
+        assert set(world.index.lists) == (reaches if static else set())
+        for reach, (anchor, got) in world.index.lists.items():
+            r = reach + _SKIN + 1.0
+            assert got == [i for i in static
+                           if surface_distance(world.obstacles[i], anchor) <= r]
+
+    walk_an_index(data.draw, visit)
+
+
 SCENE = Path(__file__).parents[1] / "missionbench" / "anchorage.yaml"
 
 
 def test_a_mission_keeps_one_skin_list_per_pass_reach(monkeypatch):
     """A whole anchorage mission ends with one list per reach the passes
-    use (sonar range, cull radius, the index's cell) and rebuilds them
+    use (sonar range, cull radius, clearance reach) and rebuilds them
     rarely: a reach that changed every step would keep adding lists and
-    never reuse one."""
+    never reuse one. A query rebuilds a list when its reach's entry is
+    another object after the query than before it."""
     sc = load_scenario(SCENE)
-    seen = {}
+    indexes = set()
     rebuilds = []
-    sense = harness.visible_obstacles
-    within_reach = ObstacleIndex._static_within
-
-    def spy(world, sonar):
-        seen["index"] = world.index
-        return sense(world, sonar)
+    near = ObstacleIndex.near
 
     def counted(index, p, reach):
-        rebuilds.append(reach)
-        return within_reach(index, p, reach)
+        before = index.lists.get(reach)
+        out = near(index, p, reach)
+        if index.lists.get(reach) is not before:
+            rebuilds.append(reach)
+        indexes.add(index)
+        return out
 
-    monkeypatch.setattr(harness, "visible_obstacles", spy)
-    monkeypatch.setattr(ObstacleIndex, "_static_within", counted)
+    monkeypatch.setattr(ObstacleIndex, "near", counted)
     res = harness.run_scenario(sc)
     steps = len(res.trajectory) - 1
-    index = seen["index"]
+    (index,) = indexes
     cull = harness.cull_radius(sc, materialize_obstacles(sc, sc.seed))
-    assert set(index.lists) == {sc.sonar.range, cull, index.cell}
+    assert set(index.lists) == {sc.sonar.range, cull, _CLEAR_REACH}
     assert steps > 300 and len(rebuilds) <= steps // 10

@@ -241,7 +241,9 @@ def test_hundred_thousand_deep_yaml_exits_64_in_one_line(tmp_path, loader):
     path = tmp_path / "nested.yaml"
     path.write_text(yaml.safe_dump(REACHES)
                     + "obstacles: " + "[" * 100_000 + "]" * 100_000 + "\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    # src ahead of the caller's PYTHONPATH, as the tier-1 command builds it
+    paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     child = subprocess.run([sys.executable, "-c", CHILD, str(path), loader],
                            capture_output=True, text=True, env=env, timeout=120)
     assert child.returncode == 64, child.stderr[-2000:]

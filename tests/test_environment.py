@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mppf import environment
 from mppf.environment import (
+    _CLEAR_REACH,
     Bounds,
     Obstacle,
     ObstacleIndex,
@@ -65,11 +66,12 @@ def test_surface_distance_sphere_and_cylinder():
 
 
 def test_clearance_open_water_is_infinite():
-    assert glider_clearance((), ObstacleIndex((), 10.0), Vec3(1, 2, 3), 0.6) == math.inf
+    assert glider_clearance((), ObstacleIndex(()), Vec3(1, 2, 3), 0.6) == math.inf
     obs = (sphere(50, 50, 10, 4.0), sphere(80, 80, 10, 2.0))
-    for cell in (10.0, 1.0):  # nearest within one cell, and beyond it
-        got = glider_clearance(obs, ObstacleIndex(obs, cell), Vec3(60, 50, 10), 0.6)
-        assert got == pytest.approx(5.4)
+    # nearest within _CLEAR_REACH, and beyond it (the full scan)
+    for x, want in ((60, 5.4), (50 - 4 - _CLEAR_REACH - 6, _CLEAR_REACH + 5.4)):
+        got = glider_clearance(obs, ObstacleIndex(obs), Vec3(x, 50, 10), 0.6)
+        assert got == pytest.approx(want)
 
 
 # --- visibility ------------------------------------------------------------

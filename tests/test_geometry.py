@@ -469,7 +469,7 @@ ATTITUDES = st.builds(Attitude, FIELD, FIELD)
 GLIDERS = st.builds(GliderState, POINTS, ATTITUDES, FIELD,
                     st.sampled_from(["follow", "escape"]))
 FINITE = st.sampled_from([0.0, -0.0, 2.5, 40.0])
-# finite centres: the obstacle index files each one in a grid cell
+# finite centres, as a scenario file must give
 WORLD_OBSTACLES = st.lists(st.builds(
     Obstacle, st.just(SPHERE), st.sampled_from([1.0, 3.0]),
     st.builds(Vec3, FINITE, FINITE, FINITE)), max_size=3).map(tuple)

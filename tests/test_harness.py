@@ -410,7 +410,9 @@ emit_outputs(run_scenario(sc, mode="advanced"), sc, sys.argv[2])
 
 def test_a_mission_writes_the_same_bytes_with_cold_and_warm_row_memos(tmp_path):
     path = SCENARIOS / "sawtooth.yaml"
-    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]))
+    # src ahead of the caller's PYTHONPATH, as the tier-1 command builds it
+    paths = [str(Path(harness.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     subprocess.run([sys.executable, "-c", COLD_RUN, str(path), str(tmp_path / "cold")],
                    check=True, env=env, timeout=120)
     sc = load_scenario(path)
