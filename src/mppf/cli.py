@@ -12,10 +12,9 @@ import argparse
 import sys
 from pathlib import Path
 
-import yaml
-
 from mppf.errors import ScenarioError
-from mppf.harness import EXIT_CODES, compare_modes, emit_outputs, run_scenario, summary_dict
+from mppf.harness import (EXIT_CODES, compare_modes, dump_yaml, emit_outputs,
+                           run_scenario, summary_dict)
 from mppf.potentials import MODES
 from mppf.scenario import load_scenario, materialize_obstacles
 
@@ -111,7 +110,7 @@ def cmd_compare(args) -> int:
     try:
         emit_outputs(cmp.baseline, sc, out / "baseline")
         emit_outputs(cmp.advanced, sc, out / "advanced")
-        (out / "compare.yaml").write_text(yaml.safe_dump(deltas, sort_keys=True))
+        (out / "compare.yaml").write_text(dump_yaml(deltas))
     except OSError as e:
         return _cannot("write", out, e)
     _print_summary("baseline", summary_dict(cmp.baseline, sc))

@@ -8,6 +8,11 @@ the world; and after a planner step keep the books (progress, waypoints,
 cross-track replans). Every random draw comes from one seeded generator at
 materialization time and the arithmetic is pure IEEE doubles, so a
 (scenario, seed) pair reproduces byte-identical output files.
+
+summary.yaml (and the CLI's compare.yaml) is written with libyaml's
+emitter, yaml.CSafeDumper, where PyYAML was built with libyaml, and with
+the pure-Python yaml.SafeDumper where it was not. Both give the same
+bytes for these documents, so the files do not depend on the build.
 """
 
 from __future__ import annotations
@@ -55,6 +60,9 @@ EXIT_CODES = {STATUS_REACHED: 0, STATUS_COLLISION: 2,
 # summary document = these RunResult fields + scenario_hash + generator
 SCALAR_FIELDS = ("status", "reached", "time_cost", "drift", "min_clearance",
                  "collision", "replans", "escapes", "seed")
+
+# the emitter of dump_yaml, picked as scenario._Loader picks its parser
+_Dumper = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
 
 
 class TrajectorySample(NamedTuple):
@@ -365,6 +373,24 @@ def compare_modes(scenario: Scenario, *, seed: int | None = None,
                          d_drift=adv.drift - base.drift)
 
 
+def dump_yaml(data: dict) -> str:
+    """``yaml.safe_dump(data, sort_keys=True)``, through _Dumper."""
+    return yaml.dump(data, Dumper=_Dumper, sort_keys=True)
+
+
+# one trajectory.csv row: t, x, y, z, psi and theta in degrees, mode, u_min
+_ROW = "%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%s,%.6f"
+
+
+def trajectory_csv(samples: Sequence[TrajectorySample]) -> str:
+    """The text of trajectory.csv: a header, then one row per sample."""
+    deg = math.degrees
+    lines = ["t,x,y,z,psi_deg,theta_deg,mode,u_min"]
+    lines += [_ROW % (t, p.x, p.y, p.z, deg(psi), deg(theta), mode, u)
+              for t, p, psi, theta, mode, u in samples]
+    return "\n".join(lines) + "\n"
+
+
 def summary_dict(result: RunResult, scenario: Scenario) -> dict:
     d = {k: getattr(result, k) for k in SCALAR_FIELDS}
     d["scenario_hash"] = scenario_hash(scenario)
@@ -387,15 +413,9 @@ def emit_outputs(result: RunResult, scenario: Scenario, out_dir) -> dict[str, Pa
         "profile_view": out / "profile_view.svg",
     }
 
-    lines = ["t,x,y,z,psi_deg,theta_deg,mode,u_min"]
-    for s in result.trajectory:
-        lines.append(f"{s.t:.6f},{s.position.x:.6f},{s.position.y:.6f},"
-                     f"{s.position.z:.6f},{math.degrees(s.psi):.6f},"
-                     f"{math.degrees(s.theta):.6f},{s.mode},{s.u_min:.6f}")
-    paths["trajectory"].write_text("\n".join(lines) + "\n")
+    paths["trajectory"].write_text(trajectory_csv(result.trajectory))
 
-    paths["summary"].write_text(yaml.safe_dump(summary_dict(result, scenario),
-                                               sort_keys=True))
+    paths["summary"].write_text(dump_yaml(summary_dict(result, scenario)))
 
     paths["top_view"].write_text(top_view_svg(result.trajectory,
                                               result.obstacles,

@@ -147,11 +147,22 @@ def segment_angles(a: Vec3, b: Vec3) -> tuple[float, float]:
 
 
 def cross_track_distance(position: Vec3, a: Vec3, b: Vec3) -> float:
-    """Distance from a point to the segment a-b."""
-    ab = b - a
-    denom = ab.norm2()
+    """Distance from a point to the segment a-b.
+
+    Scalars, in the operation order of the Vec3 expression
+    ``position.dist(a + ab * t)``, with ``ab = b - a`` and ``t`` the
+    clamped ``(position - a).dot(ab) / ab.norm2()``: the same bits,
+    without four Vec3 temporaries per call.
+    """
+    ax, ay, az = a.x, a.y, a.z
+    abx, aby, abz = b.x - ax, b.y - ay, b.z - az
+    denom = abx * abx + aby * aby + abz * abz
     if denom == 0.0:
         return position.dist(a)
-    t = (position - a).dot(ab) / denom
-    t = min(1.0, max(0.0, t))
-    return position.dist(a + ab * t)
+    px, py, pz = position.x, position.y, position.z
+    t = ((px - ax) * abx + (py - ay) * aby + (pz - az) * abz) / denom
+    t = min(1.0, max(0.0, t))  # an if chain would let a nan t through
+    dx = px - (ax + abx * t)
+    dy = py - (ay + aby * t)
+    dz = pz - (az + abz * t)
+    return math.sqrt(dx * dx + dy * dy + dz * dz)

@@ -384,6 +384,9 @@ def scenario_from_dict(data: dict, name: str = "scenario",
     if not isinstance(title, str) or not title:
         problems.append("name: expected a non-empty string")
         title = name
+    elif "\0" in title:  # the default output directory is named after it
+        problems.append("name: must not contain a NUL character")
+        title = name
 
     mode = data.get("mode", "advanced")
     if mode not in MODES:

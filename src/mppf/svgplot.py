@@ -34,7 +34,7 @@ def _frame(width: float, height: float) -> list[str]:
 
 
 def _polyline(points: Sequence[tuple[float, float]]) -> str:
-    coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
+    coords = " ".join(["%.3f,%.3f" % xy for xy in points])
     return (f'<polyline class="trajectory" points="{coords}" '
             f'fill="none" stroke="#0b6e99" stroke-width="0.6"/>')
 
@@ -57,7 +57,9 @@ def top_view_svg(samples, obstacles: Sequence[Obstacle], bounds: Bounds,
                      f'cy="{_fmt(sy(ob.center.y))}" r="{_fmt(ob.radius)}" '
                      f'fill="{fill}" fill-opacity="0.45" stroke="#555" '
                      f'stroke-width="0.3"/>')
-    parts.append(_polyline([(s.position.x, sy(s.position.y)) for s in samples]))
+    top = bounds.y  # sy inline: one call fewer per sample
+    parts.append(_polyline([(s.position.x, top - s.position.y)
+                            for s in samples]))
     parts.append(_marker(start.x, sy(start.y), "#2a7"))
     parts.append(_marker(goal.x, sy(goal.y), "#d33"))
     parts.append("</svg>")
@@ -129,9 +131,15 @@ def profile_view_svg(samples, obstacles: Sequence[Obstacle],
     closest to them horizontally, the usual convention for glider
     profile plots.
     """
+    # each arc is the last plus Vec3.hdist of the two positions, inline
+    positions = [s.position for s in samples]
     arcs = [0.0]
-    for a, b in zip(samples, samples[1:]):
-        arcs.append(arcs[-1] + a.position.hdist(b.position))
+    arc = 0.0
+    for a, b in zip(positions, positions[1:]):
+        dx = a.x - b.x
+        dy = a.y - b.y
+        arc += math.sqrt(dx * dx + dy * dy)
+        arcs.append(arc)
     total = max(arcs[-1], 1.0)
 
     parts = _frame(total, bounds.depth)
@@ -147,6 +155,6 @@ def profile_view_svg(samples, obstacles: Sequence[Obstacle],
                          f'y="0" width="{_fmt(2 * ob.radius)}" '
                          f'height="{_fmt(bounds.depth)}" fill="#999" '
                          f'fill-opacity="0.45" stroke="#555" stroke-width="0.3"/>')
-    parts.append(_polyline([(s, smp.position.z) for s, smp in zip(arcs, samples)]))
+    parts.append(_polyline([(s, p.z) for s, p in zip(arcs, positions)]))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

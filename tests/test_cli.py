@@ -282,6 +282,22 @@ def test_infinite_reach_runs_to_an_exit_code(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_nul_in_the_name_rejected_by_every_subcommand(tmp_path, capsys,
+                                                     monkeypatch):
+    # without --out, run and compare would make a directory named after it
+    data = {"schema_version": 1, "name": "a\0b", "start": [10, 10, 5],
+            "goal": [20, 10, 5]}
+    path = write(tmp_path, data, "nul.yaml")
+    monkeypatch.chdir(tmp_path)
+    for argv in (["validate"], ["run"], ["compare"]):
+        assert cli.main(argv + ["--scenario", path]) == 64
+        captured = capsys.readouterr()
+        assert captured.err == (f"invalid scenario {path}:\n"
+                                "  - name: must not contain a NUL character\n")
+        assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "runs").exists()
+
+
 def test_unwritable_out_reported_by_run_and_compare(tmp_path, capsys):
     path = write(tmp_path, REACHES)
     taken = tmp_path / "taken"

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mppf import environment, escape, geometry, harness
 from mppf.environment import (
@@ -21,10 +23,14 @@ from mppf.errors import NoFeasibleWaypoint, TrappedError
 from mppf.geometry import Vec3, build_sample_surface
 from mppf.harness import (
     EXIT_CODES,
+    SCALAR_FIELDS,
+    TrajectorySample,
     compare_modes,
+    dump_yaml,
     emit_outputs,
     run_scenario,
     summary_dict,
+    trajectory_csv,
 )
 from mppf.potentials import GotoCommand, select_goto
 from mppf.scenario import load_scenario, materialize_obstacles, scenario_from_dict
@@ -388,6 +394,65 @@ def test_svg_views_draw_track_and_obstacles(tmp_path):
         assert svg.count('class="trajectory"') == 1
         assert svg.count('class="obstacle"') == len(sc.obstacles)
         assert "<svg" in svg and "</svg>" in svg
+
+
+def fstring_row(s):
+    """One trajectory.csv row as an f-string, the oracle of trajectory_csv."""
+    return (f"{s.t:.6f},{s.position.x:.6f},{s.position.y:.6f},"
+            f"{s.position.z:.6f},{math.degrees(s.psi):.6f},"
+            f"{math.degrees(s.theta):.6f},{s.mode},{s.u_min:.6f}")
+
+
+# specials first: nan and the infinities print as words, -0.0 keeps its sign
+special = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                           1e300, -1e300])
+value = special | st.floats(-1e4, 1e4) | st.floats()
+samples = st.builds(TrajectorySample, value, st.builds(Vec3, value, value, value),
+                    value, value, st.sampled_from(["follow", "escape"]), value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(samples, max_size=5))
+@example([TrajectorySample(-0.0, Vec3(math.nan, math.inf, -math.inf), -0.0,
+                           math.inf, "escape", math.nan)])
+def test_csv_rows_are_the_fstring_rows(rows):
+    want = "\n".join(["t,x,y,z,psi_deg,theta_deg,mode,u_min"]
+                     + [fstring_row(s) for s in rows]) + "\n"
+    assert trajectory_csv(rows) == want
+
+
+# summary- and compare-shaped documents: the same keys, with values of every
+# type they hold and strings a resolver could mistake for numbers or bools
+floats = special | st.floats()
+texts = (st.from_regex(r"\A0[xX][0-9a-fA-F]{1,8}\Z")
+         | st.from_regex(r"\A[0-9]{1,12}\Z")
+         | st.from_regex(r"\A[-+]?[0-9]{1,3}(\.[0-9]{0,3})?[eE][-+]?[0-9]{1,3}\Z")
+         | st.sampled_from(["reached", "collision", "trapped", "max_steps",
+                            "python-random-mt19937", "0123456789abcdef",
+                            "1_000", ".inf", ".nan", "yes", "off", "null", "~",
+                            ""]))
+scalars = floats | st.integers() | st.booleans() | texts
+summary_docs = st.fixed_dictionaries(
+    {k: scalars for k in (*SCALAR_FIELDS, "scenario_hash", "generator")})
+compare_docs = st.fixed_dictionaries(
+    {k: scalars for k in ("d_time_cost", "d_drift", "baseline_status",
+                          "advanced_status")})
+
+
+@settings(max_examples=300, deadline=None)
+@given(summary_docs | compare_docs)
+@example({"d_time_cost": -0.0, "d_drift": 5e-324, "baseline_status": "0x1F",
+          "advanced_status": "1e300"})
+def test_summary_and_compare_documents_dump_as_safe_dump_does(doc):
+    assert dump_yaml(doc) == yaml.safe_dump(doc, sort_keys=True)
+
+
+def test_the_dumper_is_libyaml_where_pyyaml_has_it():
+    # the pure-PyYAML build runs the test above against SafeDumper itself
+    if yaml.__with_libyaml__:
+        assert harness._Dumper is yaml.CSafeDumper
+    else:
+        assert harness._Dumper is yaml.SafeDumper
 
 
 def test_emitted_files_are_deterministic(tmp_path):

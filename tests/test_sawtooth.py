@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mppf.geometry import Vec3
 from mppf.sawtooth import (
@@ -172,3 +174,38 @@ def test_cross_track_distance_clamps_to_segment():
     assert cross_track_distance(Vec3(-4, 0, 0), a, b) == pytest.approx(4.0, rel=REL)
     assert cross_track_distance(Vec3(13, 4, 0), a, b) == pytest.approx(5.0, rel=REL)
     assert cross_track_distance(Vec3(2, 0, 0), a, a) == pytest.approx(2.0, rel=REL)
+
+
+def vec3_cross_track(position, a, b):
+    """The Vec3 expression cross_track_distance computes in scalars."""
+    ab = b - a
+    denom = ab.norm2()
+    if denom == 0.0:
+        return position.dist(a)
+    t = (position - a).dot(ab) / denom
+    t = min(1.0, max(0.0, t))
+    return position.dist(a + ab * t)
+
+
+# whole metres make clamps and degenerate segments common; signed zeros,
+# the infinities and nan reach the clamp's edge cases
+coord = (st.integers(-20, 20).map(float) | st.sampled_from([0.0, -0.0])
+         | st.floats(-1e4, 1e4) | st.floats())
+vec = st.builds(Vec3, coord, coord, coord)
+
+
+@settings(max_examples=500, deadline=None)
+@given(vec, vec, vec, st.booleans())
+@example(Vec3(-4.0, 1.0, 0.0), Vec3(0.0, 0.0, 0.0), Vec3(10.0, 0.0, 0.0), False)
+@example(Vec3(13.0, 4.0, 0.0), Vec3(0.0, 0.0, 0.0), Vec3(10.0, 0.0, 0.0), False)
+@example(Vec3(2.0, -0.0, 0.0), Vec3(-0.0, 0.0, -0.0), Vec3(-0.0, 0.0, -0.0), True)
+@example(Vec3(-0.0, 0.0, -0.0), Vec3(0.0, -0.0, 0.0), Vec3(-0.0, 3.0, -0.0), False)
+# inf - inf makes t nan: max(0.0, nan) clamps it to 0.0, an if chain would not
+@example(Vec3(math.inf, -math.inf, 0.0), Vec3(0.0, 0.0, 0.0),
+         Vec3(1.0, 1.0, 0.0), False)
+def test_cross_track_distance_is_the_vec3_expression_bit_for_bit(p, a, b,
+                                                                 degenerate):
+    if degenerate:
+        b = a
+    assert (cross_track_distance(p, a, b).hex()
+            == vec3_cross_track(p, a, b).hex())
