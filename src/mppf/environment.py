@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from mppf.geometry import ZERO, Attitude, GliderState, Vec3, wrap_angle
+from mppf.geometry import ZERO, Attitude, GliderState, Vec3
 from mppf.potentials import GotoCommand, ObstaclePoint
 
 SPHERE = "sphere"
@@ -92,13 +92,21 @@ class ObstacleIndex:
     exact one whatever the order of the queries, and every world of a run
     may share the index.
 
+    Sensing reads a second memo per reach, the skin list's entries outside
+    a tracked set (untracked). It is keyed by the identity of the skin list
+    and of the tracked frozenset and holds both, so neither id can be
+    reused while the memo stands: it is rebuilt when the list is rebuilt or
+    another set is passed, such as a grown one or, through
+    `replace(world, tracked=...)`, a smaller one. A frozenset cannot
+    change, so the same object always means the same content.
+
     Obstacles move only when their velocity is nonzero and keep it nonzero
     (walls only flip its sign), so the skin lists stay exact for a whole
     run and advance_world advances only `moving`. Callers apply their exact
     test.
     """
 
-    __slots__ = ("moving", "static", "obstacles", "lists")
+    __slots__ = ("moving", "static", "obstacles", "lists", "unseen")
 
     def __init__(self, obstacles):
         # the initial obstacles; only the static ones, which never move, are read
@@ -110,6 +118,18 @@ class ObstacleIndex:
         self.static = tuple(static)
         # reach -> (anchor, sorted static indices within reach + _SKIN + 1 m)
         self.lists: dict[float, tuple[Vec3, list[int]]] = {}
+        # reach -> (skin list, tracked set, the list's entries not in the set)
+        self.unseen: dict[float, tuple[list[int], frozenset[int], list[int]]] = {}
+
+    def _skin(self, p: Vec3, reach: float) -> list[int]:
+        """The skin list for `reach` that serves p, rebuilt at p if needed."""
+        hit = self.lists.get(reach)
+        if hit is None or p.dist(hit[0]) > _SKIN:
+            r, obstacles = reach + _SKIN + 1.0, self.obstacles
+            hit = (p, [i for i in self.static
+                       if surface_distance(obstacles[i], p) <= r])
+            self.lists[reach] = hit
+        return hit[1]
 
     def near(self, p: Vec3, reach: float) -> list[int]:
         """Sorted indices of every obstacle whose surface may lie within
@@ -117,16 +137,23 @@ class ObstacleIndex:
         returns every obstacle."""
         out = list(self.moving)
         if self.static:
-            hit = self.lists.get(reach)
-            if hit is None or p.dist(hit[0]) > _SKIN:
-                r, obstacles = reach + _SKIN + 1.0, self.obstacles
-                hit = (p, [i for i in self.static
-                           if surface_distance(obstacles[i], p) <= r])
-                self.lists[reach] = hit
-            out += hit[1]
+            out += self._skin(p, reach)
             if self.moving:
                 out.sort()
         return out
+
+    def untracked(self, p: Vec3, reach: float,
+                  tracked: frozenset[int]) -> list[int]:
+        """The static entries of near(p, reach) that are not in `tracked`,
+        in index order, from the memo; the caller must not change the list."""
+        if not self.static:
+            return []
+        skin = self._skin(p, reach)
+        hit = self.unseen.get(reach)
+        if hit is None or hit[0] is not skin or hit[1] is not tracked:
+            hit = (skin, tracked, [i for i in skin if i not in tracked])
+            self.unseen[reach] = hit
+        return hit[2]
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -231,47 +258,87 @@ def _sample_cylinder(ob: Obstacle, gpos: Vec3, depth_bound: float,
     return pts
 
 
+def sonar_view(obstacles, candidates, g: GliderState, sonar: SonarModel,
+               depth_bound: float, skip=frozenset()) -> list[int]:
+    """The candidate indices, in their order and less those in `skip`,
+    whose obstacle's surface is within range and any part of it falls
+    inside both field-of-view wedges of the cone centered on the vehicle's
+    attitude (the sonar sits on the nose and pitches with the hull).
+
+    The one distance d runs to a sphere's center in 3D and to a pillar's
+    axis horizontally, so the nearest surface point lies |d - r| away (for
+    a pillar, while the vehicle is in the water column, which scenario
+    validation guarantees); a vehicle inside the body sees it. The wedges
+    widen by the body's angular radius: an echo returns from anything the
+    beam touches. The bearing's offset from the heading is wrapped by
+    math.remainder, whose one difference from geometry.wrap_angle, -pi for
+    pi, has the same absolute value."""
+    p, a = g.position, g.attitude
+    px, py, pz = p.x, p.y, p.z
+    psi, theta = a.psi, a.theta
+    reach = sonar.range
+    half_h = 0.5 * sonar.horizontal_fov
+    half_v = 0.5 * sonar.vertical_fov
+    lo, hi = theta - half_v, theta + half_v
+    below = pz - depth_bound
+    sqrt, asin, atan2, remainder, tau = (math.sqrt, math.asin, math.atan2,
+                                         math.remainder, math.tau)
+    out = []
+    for i in candidates:
+        if i in skip:
+            continue
+        ob = obstacles[i]
+        c, r = ob.center, ob.radius
+        dx = c.x - px
+        dy = c.y - py
+        hh = dx * dx + dy * dy
+        sphere = ob.shape == SPHERE
+        if sphere:
+            # p.dist(c) squares p - c; dx and dy are c - p, whose squares
+            # have the same bits
+            dz = pz - c.z
+            d = sqrt(hh + dz * dz)
+        else:
+            d = sqrt(hh)
+        if abs(d - r) > reach:
+            continue
+        if d <= r:
+            out.append(i)
+            continue
+        alpha = asin(min(1.0, r / d))
+        if abs(remainder(atan2(dy, dx) - psi, tau)) > half_h + alpha:
+            continue
+        if sphere:
+            seen = abs(atan2(dz, sqrt(hh)) - theta) <= half_v + alpha
+        else:
+            # full-column pillar: elevation extent runs from the surface
+            # rim down to the bottom rim at the near face
+            seen = max(atan2(below, d - r), lo) <= min(atan2(pz, d - r), hi)
+        if seen:
+            out.append(i)
+    return out
+
+
 def in_sonar_view(ob: Obstacle, g: GliderState, sonar: SonarModel,
                   depth_bound: float) -> bool:
-    """True when the obstacle's surface is within range and any part of it
-    falls inside both field-of-view wedges of the cone centered on the
-    vehicle's attitude (the sonar sits on the nose and pitches with the
-    hull). The one distance d runs to a sphere's center in 3D and to a
-    pillar's axis horizontally, so the nearest surface point lies |d - r|
-    away (for a pillar, while the vehicle is in the water column, which
-    scenario validation guarantees); a vehicle inside the body sees it. The
-    wedges widen by the body's angular radius: an echo returns from
-    anything the beam touches."""
-    p, c, r = g.position, ob.center, ob.radius
-    dx = c.x - p.x
-    dy = c.y - p.y
-    hd = math.sqrt(dx * dx + dy * dy)
-    d = p.dist(c) if ob.shape == SPHERE else hd
-    if abs(d - r) > sonar.range:
-        return False
-    if d <= r:
-        return True
-    alpha = math.asin(min(1.0, r / d))
-    az = math.atan2(dy, dx)
-    if abs(wrap_angle(az - g.attitude.psi)) > 0.5 * sonar.horizontal_fov + alpha:
-        return False
-    theta, half = g.attitude.theta, 0.5 * sonar.vertical_fov
-    if ob.shape == SPHERE:
-        return abs(math.atan2(p.z - c.z, hd) - theta) <= half + alpha
-    # full-column pillar: elevation extent runs from the surface rim down
-    # to the bottom rim at the near face
-    el_top = math.atan2(p.z, hd - r)
-    el_bot = math.atan2(p.z - depth_bound, hd - r)
-    return max(el_bot, theta - half) <= min(el_top, theta + half)
+    """True when the sonar sees the one obstacle: sonar_view over it alone."""
+    return bool(sonar_view((ob,), (0,), g, sonar, depth_bound))
 
 
 def visible_obstacles(world: WorldState, sonar: SonarModel) -> list[int]:
     """Sorted indices of the obstacles in sonar view that are not yet in
-    `world.tracked`; only the index's candidates within range are tested."""
-    g = world.glider
-    obstacles, depth, tracked = world.obstacles, world.bounds.depth, world.tracked
-    return [i for i in world.index.near(g.position, sonar.range)
-            if i not in tracked and in_sonar_view(obstacles[i], g, sonar, depth)]
+    `world.tracked`. A field without moving obstacles tests only the
+    index's untracked candidates within range (ObstacleIndex.untracked);
+    one with them walks the index's candidates once, skipping the tracked."""
+    g, index, tracked = world.glider, world.index, world.tracked
+    if index.moving:
+        candidates = index.near(g.position, sonar.range)
+    else:
+        candidates = index.untracked(g.position, sonar.range, tracked)
+    if not candidates:
+        return []
+    return sonar_view(world.obstacles, candidates, g, sonar,
+                      world.bounds.depth, tracked)
 
 
 def obstacles_within(world: WorldState, reach: float) -> dict[int, float]:

@@ -161,7 +161,9 @@ GROUPS = {
     "sonar": {
         "range": ("range", 1e-6, None, NUM),  # m
         "horizontal_fov_deg": ("horizontal_fov", 1.0, 359.0, DEG),
-        "vertical_fov_deg": ("vertical_fov", 1.0, 359.0, DEG),
+        # elevation spans +-90 deg; past 180 the pillar sampling band's
+        # tan(fov / 2) turns negative and the band would shrink
+        "vertical_fov_deg": ("vertical_fov", 1.0, 180.0, DEG),
     },
     "flow": {
         "amplitude": ("amplitude", 0.0, None, NUM),  # m/s

@@ -7,6 +7,11 @@ pillars, and an obstacle may sit exactly at a pass's reach, as far out as
 rounding lets it count. One index queried along a walk must stay exact
 while it reuses its skin lists, wherever the walk goes next, and each of
 its skin lists must be the scan at the list's anchor.
+
+Visibility is held to the sonar test as one obstacle at a time computed it
+before the test was inlined into one loop over the candidates
+(`view_oracle`), and sensing's memo of the untracked candidates to a scan
+whatever tracked sets the queries bring.
 """
 
 import math
@@ -30,10 +35,11 @@ from mppf.environment import (
     glider_clearance,
     in_sonar_view,
     obstacles_within,
+    sonar_view,
     surface_distance,
     visible_obstacles,
 )
-from mppf.geometry import ZERO, Attitude, GliderState, Vec3
+from mppf.geometry import ZERO, Attitude, GliderState, Vec3, wrap_angle
 from mppf.scenario import load_scenario, materialize_obstacles
 
 BOUNDS = Bounds(200.0, 200.0, 50.0)
@@ -49,8 +55,33 @@ def floats(lo, hi):
 
 def moved(g, axis, value):
     p = g.position
-    pos = Vec3(value, p.y, p.z) if axis == "x" else Vec3(p.x, value, p.z)
+    pos = (Vec3(value, p.y, p.z) if axis == "x" else
+           Vec3(p.x, value, p.z) if axis == "y" else Vec3(p.x, p.y, value))
     return GliderState(pos, g.attitude, g.speed)
+
+
+def view_oracle(ob, g, sonar, depth_bound):
+    """The sonar test for one obstacle as written before it was inlined
+    into environment.sonar_view, kept verbatim."""
+    p, c, r = g.position, ob.center, ob.radius
+    dx = c.x - p.x
+    dy = c.y - p.y
+    hd = math.sqrt(dx * dx + dy * dy)
+    d = p.dist(c) if ob.shape == "sphere" else hd
+    if abs(d - r) > sonar.range:
+        return False
+    if d <= r:
+        return True
+    alpha = math.asin(min(1.0, r / d))
+    az = math.atan2(dy, dx)
+    if abs(wrap_angle(az - g.attitude.psi)) > 0.5 * sonar.horizontal_fov + alpha:
+        return False
+    theta, half = g.attitude.theta, 0.5 * sonar.vertical_fov
+    if ob.shape == "sphere":
+        return abs(math.atan2(p.z - c.z, hd) - theta) <= half + alpha
+    el_top = math.atan2(p.z, hd - r)
+    el_bot = math.atan2(p.z - depth_bound, hd - r)
+    return max(el_bot, theta - half) <= min(el_top, theta + half)
 
 
 def at_the_limit(g, axis, away, counts):
@@ -125,7 +156,7 @@ def within(reach):
 
 
 def in_view(sonar):
-    return lambda ob, g: in_sonar_view(ob, g, sonar, BOUNDS.depth)
+    return lambda ob, g: view_oracle(ob, g, sonar, BOUNDS.depth)
 
 
 def bits(ob):
@@ -205,7 +236,7 @@ def test_visibility_matches_a_scan(case, data):
     obstacles, g = world.obstacles, world.glider
     for tracked in (set(), data.draw(tracked_sets(len(obstacles)))):
         want = [i for i, ob in enumerate(obstacles)
-                if i not in tracked and in_sonar_view(ob, g, sonar, BOUNDS.depth)]
+                if i not in tracked and view_oracle(ob, g, sonar, BOUNDS.depth)]
         seen = visible_obstacles(replace(world, tracked=frozenset(tracked)), sonar)
         assert seen == want
 
@@ -260,7 +291,7 @@ def check_every_pass(world, sonars, culls, tracked):
     for sonar in sonars:
         for seen in (frozenset(), tracked):
             want = [i for i, ob in enumerate(obstacles)
-                    if i not in seen and in_sonar_view(ob, g, sonar, BOUNDS.depth)]
+                    if i not in seen and view_oracle(ob, g, sonar, BOUNDS.depth)]
             assert visible_obstacles(replace(world, tracked=seen), sonar) == want
     for cull in culls:
         for seen in (frozenset(range(len(obstacles))), tracked):
@@ -425,3 +456,265 @@ def test_a_mission_keeps_one_skin_list_per_pass_reach(monkeypatch):
     cull = harness.cull_radius(sc, materialize_obstacles(sc, sc.seed))
     assert set(index.lists) == {sc.sonar.range, cull, _CLEAR_REACH}
     assert steps > 300 and len(rebuilds) <= steps // 10
+
+
+# --- the inline sonar test and the untracked memo --------------------------
+
+HEADINGS = st.one_of(
+    floats(-math.pi, math.pi),
+    st.sampled_from((math.pi, -math.pi, math.nextafter(math.pi, 0.0),
+                     math.nextafter(-math.pi, 0.0), 0.0, -0.0)))
+PITCHES = st.one_of(floats(-1.2, 1.2), st.sampled_from((0.0, -0.0)))
+SONARS = st.builds(SonarModel, floats(0.5, 150.0), floats(0.05, 6.2),
+                   floats(0.02, math.pi))
+
+
+def at(p, psi, theta):
+    return GliderState(p, Attitude(psi, theta), 0.3)
+
+
+def around(g, axis):
+    """g and the vehicles one float either side of it along `axis`."""
+    x = getattr(g.position, axis)
+    return [moved(g, axis, v)
+            for v in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))]
+
+
+def limits(g, axis, counts):
+    """The last float along `axis`, each way, at which counts(vehicle)
+    still holds, with their neighbours."""
+    return [h for away in (math.inf, -math.inf)
+            for h in around(at_the_limit(g, axis, away, counts), axis)]
+
+
+@st.composite
+def wedge_edge(draw):
+    """A body within range whose angular extent reaches just to an edge of
+    the horizontal wedge or of the vertical one (for a pillar, the beam's
+    lower edge on the surface rim or its upper one on the bottom rim), and
+    the vehicles at the last floats either way that still see it."""
+    sonar, depth = draw(SONARS), BOUNDS.depth
+    psi, theta = draw(HEADINGS), draw(floats(-0.7, 0.7))
+    p = Vec3(draw(floats(60.0, 140.0)), draw(floats(60.0, 140.0)),
+             draw(floats(1.0, 49.0)))
+    r = draw(floats(0.2, 15.0))
+    d = r + draw(floats(0.05, 1.0)) * sonar.range
+    alpha = math.asin(r / d)
+    side = draw(st.sampled_from((-1.0, 1.0)))
+    # bearing and elevation of the body's center
+    b, el = psi, theta
+    if draw(st.booleans()):
+        b += side * (0.5 * sonar.horizontal_fov + alpha)
+        axis = "y" if abs(math.cos(b)) >= abs(math.sin(b)) else "x"
+    else:
+        el += side * (0.5 * sonar.vertical_fov + alpha)
+        axis = "z"
+    if draw(st.booleans()):
+        h = d * math.cos(el)
+        ob = Obstacle("sphere", r, Vec3(p.x + h * math.cos(b), p.y + h * math.sin(b),
+                                        p.z - d * math.sin(el)))
+    else:
+        ob = Obstacle("cylinder", r, Vec3(p.x + d * math.cos(b), p.y + d * math.sin(b), 0.0))
+        half = 0.5 * sonar.vertical_fov
+        if axis == "z":
+            theta = (math.atan2(p.z, d - r) + half if side > 0 else
+                     math.atan2(p.z - depth, d - r) - half)
+        else:
+            theta = 0.0  # inside the pillar's vertical extent
+    g = at(p, psi, theta)
+    return ob, limits(g, axis, lambda h: view_oracle(ob, h, sonar, depth)), sonar, depth
+
+
+@st.composite
+def vertical_tie(draw):
+    """A body straight ahead whose angular extent meets the vertical wedge
+    exactly: |elevation - pitch| == half + alpha for a sphere (when a pitch
+    within 64 floats gives it), and for a pillar the beam's lower edge on
+    the surface rim or its upper edge on the bottom rim."""
+    depth = BOUNDS.depth
+    p = Vec3(draw(floats(60.0, 140.0)), draw(floats(60.0, 140.0)),
+             draw(floats(1.0, 49.0)))
+    r, d = draw(floats(0.2, 15.0)), draw(floats(0.5, 80.0))
+    b = draw(floats(-math.pi, math.pi))
+    if draw(st.booleans()):
+        el = draw(floats(-1.2, 1.2))
+        h = (r + d) * math.cos(el)
+        ob = Obstacle("sphere", r, Vec3(p.x + h * math.cos(b), p.y + h * math.sin(b),
+                                        p.z - (r + d) * math.sin(el)))
+    else:
+        ob = Obstacle("cylinder", r, Vec3(p.x + (r + d) * math.cos(b),
+                                          p.y + (r + d) * math.sin(b), 0.0))
+    c = ob.center
+    dx, dy = c.x - p.x, c.y - p.y
+    hd = math.sqrt(dx * dx + dy * dy)
+    psi = math.atan2(dy, dx)
+    sonar = SonarModel(200.0, 1.0, draw(floats(0.02, math.pi)))
+    if ob.shape == "sphere":
+        el = math.atan2(p.z - c.z, hd)
+        edge = 0.5 * sonar.vertical_fov + math.asin(min(1.0, r / p.dist(c)))
+        side = draw(st.sampled_from((-1.0, 1.0)))
+        theta = el - side * edge
+        for _ in range(64):
+            if abs(el - theta) == edge:
+                break
+            theta = math.nextafter(theta, el if abs(el - theta) > edge else -side * math.inf)
+    else:
+        rim = (math.atan2(p.z, hd - r) if draw(st.booleans()) else
+               math.atan2(p.z - depth, hd - r))
+        # pitch 2 rim and half-angle |rim|: one beam edge is rim itself
+        sonar = SonarModel(200.0, 1.0, 2.0 * abs(rim))
+        theta = 2.0 * rim
+    return ob, [at(p, psi, theta)], sonar, depth
+
+
+@st.composite
+def on_the_surface(draw):
+    """A vehicle on the last float inside a body along x, where its distance
+    may equal the radius, with its neighbours."""
+    r = draw(floats(0.2, 15.0))
+    c = Vec3(draw(floats(0.0, 200.0)), draw(floats(0.0, 200.0)), draw(floats(0.0, 50.0)))
+    if draw(st.booleans()):
+        ob = Obstacle("sphere", r, c)
+        dist = Vec3.dist
+    else:
+        ob = Obstacle("cylinder", r, Vec3(c.x, c.y, 0.0))
+        dist = Vec3.hdist
+    g = at(Vec3(c.x + r, c.y, c.z), draw(HEADINGS), draw(PITCHES))
+    inside = at_the_limit(g, "x", math.inf, lambda h: dist(h.position, ob.center) <= r)
+    return ob, around(inside, "x"), draw(SONARS), BOUNDS.depth
+
+
+@st.composite
+def inside_a_body(draw):
+    ob = draw(free_obstacle())
+    k, phi = draw(floats(0.0, 0.999)), draw(floats(-math.pi, math.pi))
+    el = draw(floats(-0.5 * math.pi, 0.5 * math.pi)) if ob.shape == "sphere" else 0.0
+    c, r = ob.center, ob.radius
+    p = Vec3(c.x + k * r * math.cos(el) * math.cos(phi),
+             c.y + k * r * math.cos(el) * math.sin(phi),
+             draw(floats(0.0, 50.0)) if ob.shape == "cylinder" else
+             c.z + k * r * math.sin(el))
+    return ob, [at(p, draw(HEADINGS), draw(PITCHES))], draw(SONARS), BOUNDS.depth
+
+
+@st.composite
+def signed_zeros(draw):
+    """Vehicle and body on the x axis with every other coordinate a signed
+    zero, so the bearing is +-0 or +-pi, against headings at and next to
+    +-pi."""
+    zero = st.sampled_from((0.0, -0.0))
+    p = Vec3(draw(zero), draw(zero), draw(zero))
+    c = Vec3(draw(st.sampled_from((-30.0, -0.0, 0.0, 30.0))), draw(zero),
+             draw(st.sampled_from((-0.0, 0.0, 5.0))))
+    ob = Obstacle(draw(st.sampled_from(("sphere", "cylinder"))), draw(floats(0.2, 15.0)), c)
+    return ob, [at(p, draw(HEADINGS), draw(PITCHES))], draw(SONARS), BOUNDS.depth
+
+
+@st.composite
+def anywhere(draw):
+    g = at(Vec3(draw(floats(-20.0, 220.0)), draw(floats(-20.0, 220.0)),
+                draw(floats(0.0, 50.0))), draw(HEADINGS), draw(PITCHES))
+    return draw(free_obstacle()), [g], draw(SONARS), BOUNDS.depth
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.one_of(anywhere(), wedge_edge(), vertical_tie(), on_the_surface(),
+                 inside_a_body(), signed_zeros()))
+def test_the_inline_view_test_gives_the_scalar_tests_answer(scene):
+    """sonar_view's one loop and in_sonar_view, its one-obstacle wrapper,
+    against view_oracle: spheres and pillars anywhere, at the last floats
+    inside either wedge and on an exact tie with the vertical one, on and
+    inside the body, and on signed zeros with headings about +-pi."""
+    ob, vehicles, sonar, depth = scene
+    for g in vehicles:
+        want = view_oracle(ob, g, sonar, depth)
+        assert in_sonar_view(ob, g, sonar, depth) is want
+        assert sonar_view((ob,), (0,), g, sonar, depth) == ([0] if want else [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_untracked_memo_answers_every_tracked_set(data):
+    """One index of static bodies along a 33 m walk, so every skin list is
+    rebuilt, queried at each step with two sonar ranges in turn and, for
+    each range, a tracked set that grows, the same set again, a smaller
+    one handed in through replace, an equal but new frozenset and the
+    grown one again. Every answer must be the scan's."""
+    draw = data.draw
+    obstacles = [replace(ob, velocity=ZERO)
+                 for ob in draw(st.lists(free_obstacle(), min_size=1, max_size=20))]
+    n = len(obstacles)
+    sonars = [SonarModel(draw(floats(5.0, 120.0)), draw(floats(0.5, 6.2)),
+                         draw(floats(0.2, 3.0))) for _ in range(2)]
+    start = Vec3(draw(floats(0.0, 200.0)), draw(floats(0.0, 200.0)),
+                 draw(floats(0.0, 50.0)))
+    way = draw(floats(-math.pi, math.pi))
+    world = WorldState(at(start, 0.0, 0.0), tuple(obstacles), None, BOUNDS, HULL)
+    index, tracked = world.index, frozenset()
+    built = {sonar.range: [] for sonar in sonars}
+    for k in range(12):
+        p = offset(start, 3.0 * k * math.cos(way), 3.0 * k * math.sin(way), 0.0)
+        world = advance_world(world, at(p, draw(HEADINGS), draw(floats(-0.7, 0.7))), 1.0)
+        g = world.glider
+        grown = tracked | frozenset(draw(tracked_sets(n)))
+        smaller = frozenset(draw(st.sets(st.sampled_from(sorted(grown))))
+                            if grown else set())
+        # the same content in another object, but for the empty singleton
+        again = frozenset(sorted(smaller))
+        for seen in (tracked, grown, grown, smaller, again, grown):
+            for sonar in sonars:
+                want = [i for i, ob in enumerate(obstacles)
+                        if i not in seen and view_oracle(ob, g, sonar, BOUNDS.depth)]
+                assert visible_obstacles(replace(world, tracked=seen), sonar) == want
+        for reach, lists in built.items():
+            assert index.untracked(p, reach, grown) is index.untracked(p, reach, grown)
+            skin = index.lists[reach][1]
+            if not any(skin is old for old in lists):
+                lists.append(skin)
+        tracked = grown
+    assert all(len(lists) >= 2 for lists in built.values())
+
+
+def test_a_rebuilt_skin_list_renews_the_untracked_memo():
+    """The tracked set stays one object while the vehicle closes on a
+    sphere from past the sonar's skin list: the list is rebuilt twice on
+    the way, and the sphere comes into view only in the third list, so a
+    memo that outlived its list would never show it."""
+    sonar = SonarModel(range=20.0)
+    ahead = Obstacle("sphere", 1.0, Vec3(151.0, 100.0, 25.0))
+    astern = Obstacle("sphere", 1.0, Vec3(60.0, 100.0, 25.0))
+    world = WorldState(at(Vec3(100.0, 100.0, 25.0), 0.0, 0.0), (ahead, astern),
+                       None, BOUNDS, HULL, tracked=frozenset({1}))
+    seen, anchors = [], set()
+    for x in (100.0, 110.5, 121.0, 125.0, 130.0):
+        world = advance_world(world, at(Vec3(x, 100.0, 25.0), 0.0, 0.0), 1.0)
+        seen.append(visible_obstacles(world, sonar))
+        anchors.add(world.index.lists[sonar.range][0].x)
+    assert anchors == {100.0, 110.5, 121.0}
+    assert seen == [[], [], [], [], [0]]
+
+
+def test_anchorage_sensing_walks_only_the_untracked(monkeypatch):
+    """Over both anchorage missions each sensing call walks the index's
+    untracked candidates, at most 35 a step on average, against the about
+    121 entries of the sonar's skin list that a walk over every candidate
+    within range would test."""
+    sc = load_scenario(SCENE)
+    walked, senses = [], [0]
+    untracked, visible = ObstacleIndex.untracked, harness.visible_obstacles
+
+    def counted(index, p, reach, tracked):
+        out = untracked(index, p, reach, tracked)
+        walked.append(len(out))
+        return out
+
+    def sense(world, sonar):
+        senses[0] += 1
+        return visible(world, sonar)
+
+    monkeypatch.setattr(ObstacleIndex, "untracked", counted)
+    monkeypatch.setattr(harness, "visible_obstacles", sense)
+    for mode in ("baseline", "advanced"):
+        harness.run_scenario(replace(sc, mode=mode))
+    assert len(walked) == senses[0] > 600
+    assert sum(walked) / len(walked) <= 35.0

@@ -17,6 +17,7 @@ from mppf.environment import (
     VortexFlow,
     WorldState,
     _advance_obstacle,
+    _sample_cylinder,
     advance_world,
     flow_velocity,
     glider_clearance,
@@ -244,6 +245,35 @@ def test_cylinder_sampled_on_shell_within_column():
         hd = math.hypot(p.position.x - 70.0, p.position.y - 50.0)
         assert hd == pytest.approx(5.0, rel=1e-12)
         assert 0.0 <= p.position.z <= 50.0
+
+
+def band(ob, at, depth, vertical_fov):
+    zs = [p.z for p in _sample_cylinder(ob, at, depth, vertical_fov)]
+    return min(zs), max(zs)
+
+
+def test_a_wider_beam_samples_a_pillar_no_narrower_band():
+    """A 3 m pillar 30 m ahead of a vehicle 20 m down: at 179 and 180 deg
+    the band spans the whole column, where a 181 deg beam, which the
+    reader refuses, would sample 19-21 m."""
+    cyl = Obstacle("cylinder", 3.0, Vec3(80.0, 50.0, 0.0))
+    at = Vec3(50.0, 50.0, 20.0)
+    for deg in (179.0, 180.0):
+        assert band(cyl, at, 50.0, math.radians(deg)) == (0.0, 50.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(floats(0.1, 20.0), floats(0.0, 100.0), floats(0.0, 50.0),
+       st.lists(floats(math.radians(1.0), math.radians(180.0)), min_size=2,
+                max_size=6))
+def test_pillar_band_never_narrows_as_the_beam_widens(r, hd, z, fovs):
+    """Up to the reader's 180 deg limit, on the rim and outside it."""
+    cyl = Obstacle("cylinder", r, Vec3(0.0, 0.0, 0.0))
+    at = Vec3(r + hd, 0.0, z)
+    fovs = sorted(fovs + [math.radians(180.0)])
+    bands = [band(cyl, at, 50.0, f) for f in fovs]
+    for (lo0, hi0), (lo1, hi1) in zip(bands, bands[1:]):
+        assert lo1 <= lo0 and hi0 <= hi1
 
 
 # --- kinematics ------------------------------------------------------------

@@ -84,6 +84,8 @@ BAD = [
      ["sonar.beams: unknown field", "sonar.range: must be >= 1e-06",
       "sonar.horizontal_fov_deg: must be <= 359.0",
       "sonar.vertical_fov_deg: must be >= 1.0"]),
+    ({"sonar": {"vertical_fov_deg": 181}},
+     ["sonar.vertical_fov_deg: must be <= 180.0"]),
     ({"flow": {"amplitude": -0.1, "cell_size": 0, "max_depth": "deep",
                "phase": 1}},
      ["flow.phase: unknown field", "flow.amplitude: must be >= 0.0",
