@@ -48,8 +48,8 @@ class Obstacle:
     def __post_init__(self):
         if self.shape not in (SPHERE, CYLINDER):
             raise ValueError(f"unknown obstacle shape: {self.shape!r}")
-        if self.radius <= 0.0:
-            raise ValueError("obstacle radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError("obstacle radius must be finite and positive")
         if self.shape == CYLINDER and self.velocity != ZERO:
             raise ValueError("cylinder obstacles are static")
 
@@ -68,6 +68,14 @@ class SonarModel:
     range: float = 100.0
     horizontal_fov: float = math.radians(120.0)
     vertical_fov: float = math.radians(30.0)
+
+    def __post_init__(self):
+        # elevation spans +-pi/2: past pi, the pillar band's tan(fov / 2)
+        # turns negative and the band would shrink
+        if not 0.0 < self.range < math.inf:
+            raise ValueError("sonar range must be finite and positive")
+        if not 0.0 < self.vertical_fov <= math.pi:
+            raise ValueError("sonar vertical_fov must lie in (0, pi]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,6 +178,13 @@ class WorldState:
     tracked: frozenset[int] = frozenset()
     # built from the initial obstacles and handed on to every later world
     index: ObstacleIndex | None = field(default=None, compare=False, repr=False)
+    # set by advance_world on a field with moving obstacles: (vehicle
+    # position, obstacles tuple, the surface distance of each moving obstacle
+    # from that position, in index.moving order); obstacles_within reads the
+    # distances only while the world holds that very position and tuple, so
+    # replace() may carry it anywhere
+    moving_distances: tuple[Vec3, tuple[Obstacle, ...], list[float]] | None = field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.index is None:
@@ -343,12 +358,37 @@ def visible_obstacles(world: WorldState, sonar: SonarModel) -> list[int]:
 
 def obstacles_within(world: WorldState, reach: float) -> dict[int, float]:
     """The members of `world.tracked` whose surface lies within `reach` of
-    the vehicle, each mapped to that surface distance, in index order; only
-    the index's candidates within reach are tested."""
+    the vehicle, each mapped to that surface distance, in index order.
+
+    The moving obstacles' distances are the ones advance_world measured
+    for this world (WorldState.moving_distances), read only while the world
+    holds the position and the obstacles they were measured for; a world
+    built otherwise, or replace()d to another vehicle position or other
+    obstacles, measures them here. Of the static obstacles, only the
+    index's skin list for `reach` is measured."""
+    tracked = world.tracked
+    if not tracked:
+        return {}
     p = world.glider.position
-    obstacles, tracked = world.obstacles, world.tracked
-    return {i: d for i in world.index.near(p, reach)
-            if i in tracked and (d := surface_distance(obstacles[i], p)) <= reach}
+    obstacles, index = world.obstacles, world.index
+    out = {}
+    if index.moving:
+        known = world.moving_distances
+        if known is not None and known[0] is p and known[1] is obstacles:
+            gaps = known[2]
+        else:
+            gaps = [surface_distance(obstacles[i], p) for i in index.moving]
+        out = {i: d for i, d in zip(index.moving, gaps)
+               if d <= reach and i in tracked}
+    if index.static:
+        static = {i: d for i in index._skin(p, reach)
+                  if i in tracked and (d := surface_distance(obstacles[i], p)) <= reach}
+        if out and static:
+            out.update(static)
+            out = dict(sorted(out.items()))
+        else:
+            out = out or static
+    return out
 
 
 def surface_points(world: WorldState, indices, sonar: SonarModel) -> list[ObstaclePoint]:
@@ -405,27 +445,37 @@ def _advance_obstacle(ob: Obstacle, bounds: Bounds, dt: float) -> Obstacle:
     return moved
 
 
-def glider_clearance(obstacles: tuple[Obstacle, ...], index: ObstacleIndex,
-                     position: Vec3, body_radius: float) -> float:
-    """Smallest hull-to-surface distance; +inf in open water.
+def _nearest_static(obstacles: tuple[Obstacle, ...], index: ObstacleIndex,
+                    p: Vec3, best: float) -> float:
+    """The least of `best`, the nearest moving surface from p (+inf if
+    none), and every static surface's distance from p.
 
-    The nearest of the index's candidates within _CLEAR_REACH is the
-    nearest of all when its surface lies within that reach, or when there
-    are no static obstacles (the moving ones are always candidates);
-    otherwise every obstacle is scanned. Rounding is monotone, so
-    subtracting the hull after the minimum gives the same bits as before it.
-    """
-    best = math.inf
-    for i in index.near(position, _CLEAR_REACH):
-        d = surface_distance(obstacles[i], position)
+    The nearest of the static skin list for _CLEAR_REACH and `best` is the
+    nearest of all when it lies within that reach, since the list holds
+    every static obstacle within it; otherwise every static obstacle is
+    scanned."""
+    if not index.static:
+        return best
+    for i in index._skin(p, _CLEAR_REACH):
+        d = surface_distance(obstacles[i], p)
         if d < best:
             best = d
-    if best > _CLEAR_REACH and index.static:
-        for ob in obstacles:
-            d = surface_distance(ob, position)
+    if best > _CLEAR_REACH:
+        for i in index.static:
+            d = surface_distance(obstacles[i], p)
             if d < best:
                 best = d
-    return best - body_radius
+    return best
+
+
+def glider_clearance(obstacles: tuple[Obstacle, ...], index: ObstacleIndex,
+                     position: Vec3, body_radius: float) -> float:
+    """Smallest hull-to-surface distance; +inf in open water. Rounding is
+    monotone, so subtracting the hull after the minimum gives the same bits
+    as before it."""
+    best = min((surface_distance(obstacles[i], position) for i in index.moving),
+               default=math.inf)
+    return _nearest_static(obstacles, index, position, best) - body_radius
 
 
 def advance_world(world: WorldState, new_glider: GliderState, dt: float) -> WorldState:
@@ -433,19 +483,35 @@ def advance_world(world: WorldState, new_glider: GliderState, dt: float) -> Worl
     the planner's or an escape's, then obstacles, clock and clearance follow.
 
     Only the moving obstacles advance; a field without any keeps its tuple.
+    Each moving sphere is measured from the vehicle's new position as soon
+    as it moves, in surface_distance's operation order (p.dist(c) - r), and
+    the new world hands those distances to the next step's
+    obstacles_within (WorldState.moving_distances); the clearance is the
+    hull's glider_clearance, to the bit.
     """
     index = world.index
     obstacles = world.obstacles
+    p = new_glider.position
+    best, measured = math.inf, None
     if index.moving:
-        moved, bounds = list(obstacles), world.bounds
+        moved, bounds, gaps = list(obstacles), world.bounds, []
+        px, py, pz, sqrt = p.x, p.y, p.z, math.sqrt
         for i in index.moving:
-            moved[i] = _advance_obstacle(moved[i], bounds, dt)
+            ob = moved[i] = _advance_obstacle(moved[i], bounds, dt)
+            c = ob.center
+            dx = px - c.x
+            dy = py - c.y
+            dz = pz - c.z
+            d = sqrt(dx * dx + dy * dy + dz * dz) - ob.radius
+            gaps.append(d)
+            if d < best:
+                best = d
         obstacles = tuple(moved)
-    clearance = glider_clearance(obstacles, index, new_glider.position,
-                                 world.body_radius)
+        measured = (p, obstacles, gaps)
+    clearance = _nearest_static(obstacles, index, p, best) - world.body_radius
     return WorldState(new_glider, obstacles, world.flow, world.bounds,
                       world.body_radius, world.time + dt, clearance,
-                      world.tracked, index)
+                      world.tracked, index, measured)
 
 
 def step_kinematics(glider: GliderState, command: GotoCommand, flow: Vec3,

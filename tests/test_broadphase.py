@@ -21,7 +21,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mppf import harness
+from mppf import environment, harness
 from mppf.environment import (
     _CLEAR_REACH,
     _SKIN,
@@ -254,6 +254,42 @@ def test_cull_matches_a_scan(case, data):
         assert list(got.items()) == want
 
 
+def cull_scan(world, reach):
+    """obstacles_within as a scan over the tracked obstacles, distances as
+    float.hex."""
+    pos = world.glider.position
+    return [(i, d.hex()) for i in sorted(world.tracked)
+            if (d := surface_distance(world.obstacles[i], pos)) <= reach]
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields(lambda sonar, cull: (cull, within(cull))), st.data())
+def test_cull_after_advance_reads_no_stale_distance(case, data):
+    """advance_world hands the moving obstacles' distances from the new
+    position to the cull. After one to three advances, with steps long
+    enough to reflect a sphere off any wall, the cull must equal the scan,
+    bit for bit, on the advanced world, on it with a smaller tracked set,
+    and on it with the vehicle moved elsewhere, where the handed distances
+    belong to another position."""
+    world, _, cull = case
+    n = len(world.obstacles)
+    tracked = data.draw(st.just(set(range(n))) | tracked_sets(n))
+    world = replace(world, tracked=frozenset(tracked))
+    for _ in range(data.draw(st.integers(1, 3))):
+        g = world.glider
+        to = offset(g.position, *(data.draw(floats(-5.0, 5.0)) for _ in range(3)))
+        world = advance_world(world, GliderState(to, g.attitude, g.speed),
+                              data.draw(floats(0.1, 250.0)))
+        smaller = frozenset(data.draw(st.sets(st.sampled_from(sorted(world.tracked))))
+                            if world.tracked else set())
+        g = world.glider
+        elsewhere = offset(g.position, *(data.draw(floats(-5.0, 5.0)) for _ in range(3)))
+        for w in (world, replace(world, tracked=smaller),
+                  replace(world, glider=GliderState(elsewhere, g.attitude, g.speed))):
+            assert [(i, d.hex()) for i, d in obstacles_within(w, cull).items()] \
+                == cull_scan(w, cull)
+
+
 @settings(max_examples=300, deadline=None)
 @given(fields(lambda sonar, cull: (_CLEAR_REACH, within(_CLEAR_REACH))), st.data())
 def test_clearance_and_advance_match_a_scan(case, data):
@@ -435,21 +471,22 @@ def test_a_mission_keeps_one_skin_list_per_pass_reach(monkeypatch):
     use (sonar range, cull radius, clearance reach) and rebuilds them
     rarely: a reach that changed every step would keep adding lists and
     never reuse one. A query rebuilds a list when its reach's entry is
-    another object after the query than before it."""
+    another object after the query than before it. Every pass reaches the
+    lists through ObstacleIndex._skin, so that is where queries count."""
     sc = load_scenario(SCENE)
     indexes = set()
     rebuilds = []
-    near = ObstacleIndex.near
+    skin = ObstacleIndex._skin
 
     def counted(index, p, reach):
         before = index.lists.get(reach)
-        out = near(index, p, reach)
+        out = skin(index, p, reach)
         if index.lists.get(reach) is not before:
             rebuilds.append(reach)
         indexes.add(index)
         return out
 
-    monkeypatch.setattr(ObstacleIndex, "near", counted)
+    monkeypatch.setattr(ObstacleIndex, "_skin", counted)
     res = harness.run_scenario(sc)
     steps = len(res.trajectory) - 1
     (index,) = indexes
@@ -718,3 +755,28 @@ def test_anchorage_sensing_walks_only_the_untracked(monkeypatch):
         harness.run_scenario(replace(sc, mode=mode))
     assert len(walked) == senses[0] > 600
     assert sum(walked) / len(walked) <= 35.0
+
+
+def test_traffic_measures_each_moving_sphere_once_per_step(monkeypatch):
+    """Over scenarios/dynamic.yaml at seeds 0-3 in both modes (12 moving
+    spheres), advance_world measures every sphere as it moves it and hands
+    the distances to the next step's cull, so surface_distance runs less
+    than once a step on average: only for each mission's first world. A
+    step that measured each sphere for the clearance and again for the
+    cull would make about 24 calls."""
+    sc = load_scenario(Path(__file__).parents[1] / "scenarios" / "dynamic.yaml")
+    calls = [0]
+    measure = environment.surface_distance
+
+    def counted(ob, p):
+        calls[0] += 1
+        return measure(ob, p)
+
+    monkeypatch.setattr(environment, "surface_distance", counted)
+    steps = 0
+    for seed in range(4):
+        for mode in ("baseline", "advanced"):
+            res = harness.run_scenario(sc, mode=mode, seed=seed)
+            steps += len(res.trajectory) - 1
+    assert steps > 2000
+    assert calls[0] < steps

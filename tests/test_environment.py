@@ -48,10 +48,25 @@ def sphere(x, y, z, r):
 def test_obstacle_shape_and_radius_validated():
     with pytest.raises(ValueError):
         Obstacle("cube", 3.0, ZERO)
-    with pytest.raises(ValueError):
-        Obstacle("sphere", 0.0, ZERO)
+    for radius in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="radius"):
+            Obstacle("sphere", radius, ZERO)
     with pytest.raises(ValueError):
         Obstacle("cylinder", 3.0, ZERO, Vec3(0.1, 0.0, 0.0))
+
+
+def test_sonar_model_refuses_what_the_reader_refuses():
+    """A vertical_fov outside (0, pi] would turn the pillar band's
+    tan(fov / 2) negative; a range must be finite and positive. pi itself,
+    the reader's 180 deg, is accepted."""
+    assert SonarModel(vertical_fov=math.radians(180.0)).vertical_fov == math.pi
+    for fov in (math.radians(181.0), math.nextafter(math.pi, 4.0), 0.0, -0.5,
+                math.nan, math.inf):
+        with pytest.raises(ValueError, match="vertical_fov"):
+            SonarModel(vertical_fov=fov)
+    for rng in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="range"):
+            SonarModel(range=rng)
 
 
 # --- distances -------------------------------------------------------------
@@ -255,7 +270,7 @@ def band(ob, at, depth, vertical_fov):
 def test_a_wider_beam_samples_a_pillar_no_narrower_band():
     """A 3 m pillar 30 m ahead of a vehicle 20 m down: at 179 and 180 deg
     the band spans the whole column, where a 181 deg beam, which the
-    reader refuses, would sample 19-21 m."""
+    reader and SonarModel refuse, would sample 19-21 m."""
     cyl = Obstacle("cylinder", 3.0, Vec3(80.0, 50.0, 0.0))
     at = Vec3(50.0, 50.0, 20.0)
     for deg in (179.0, 180.0):

@@ -344,9 +344,9 @@ def obstacle(shape, radius, center, velocity):
 
 VEC3S = st.tuples(FIELD, FIELD, FIELD).map(lambda xyz: vec3(*xyz))
 CANDIDATES = st.builds(candidate, VEC3S, VEC3S, FIELD, FIELD, FIELD)
-# the values Obstacle's checks accept: a radius not <= 0 (NaN passes), and
-# a cylinder only at rest, where -0.0 equals 0.0
-RADII = FIELD.filter(lambda r: not r <= 0.0)
+# the values Obstacle's checks accept: a finite positive radius, and a
+# cylinder only at rest, where -0.0 equals 0.0
+RADII = FIELD.filter(lambda r: 0.0 < r < math.inf)
 SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
 OBSTACLES = (
     st.builds(obstacle, st.just(SPHERE), RADII, VEC3S, VEC3S)
@@ -387,8 +387,8 @@ def test_candidate_compares_hashes_and_prints_like_a_frozen_dataclass(a, b):
 
 @settings(max_examples=300, deadline=None)
 @given(OBSTACLES, OBSTACLES)
-@example(obstacle(SPHERE, NAN, vec3(NAN, 1.0, 2.0), vec3(0.2, 0.0, 0.0)),
-         obstacle(SPHERE, NAN, vec3(NAN, 1.0, 2.0), vec3(0.2, -0.0, 0.0)))
+@example(obstacle(SPHERE, 1.0, vec3(NAN, 1.0, 2.0), vec3(0.2, 0.0, 0.0)),
+         obstacle(SPHERE, 1.0, vec3(NAN, 1.0, 2.0), vec3(0.2, -0.0, 0.0)))
 @example(obstacle(CYLINDER, 3.0, vec3(-0.0, 5.0, 0.0), vec3(0.0, 0.0, 0.0)),
          obstacle(CYLINDER, 3.0, vec3(0.0, 5.0, -0.0), vec3(-0.0, 0.0, -0.0)))
 @example(obstacle(SPHERE, 1.0, vec3(1.0, 2.0, 3.0), vec3(0.0, 0.0, 0.0)),
@@ -453,6 +453,7 @@ class RefWorldState:
     clearance: float = math.inf
     tracked: frozenset = frozenset()
     index: object = field(default=None, compare=False, repr=False)
+    moving_distances: object = field(default=None, compare=False, repr=False)
 
 
 def twins(cls, ref, *values):
