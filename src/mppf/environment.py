@@ -62,6 +62,15 @@ class VortexFlow:
     cell_size: float = 50.0
     max_depth: float = 50.0
 
+    def __post_init__(self):
+        # flow_velocity divides by cell_size and max_depth
+        if not 0.0 <= self.amplitude < math.inf:
+            raise ValueError("flow amplitude must be finite and non-negative")
+        if not 0.0 < self.cell_size < math.inf:
+            raise ValueError("flow cell_size must be finite and positive")
+        if not 0.0 < self.max_depth < math.inf:
+            raise ValueError("flow max_depth must be finite and positive")
+
 
 @dataclass(frozen=True, slots=True)
 class SonarModel:
@@ -84,6 +93,10 @@ class Bounds:
     y: float = 100.0
     depth: float = 50.0
 
+    def __post_init__(self):
+        if not all(0.0 < v < math.inf for v in (self.x, self.y, self.depth)):
+            raise ValueError("bounds x, y and depth must be finite and positive")
+
 
 class ObstacleIndex:
     """Broad phase for the per-obstacle passes: a skin list per reach over
@@ -100,13 +113,14 @@ class ObstacleIndex:
     exact one whatever the order of the queries, and every world of a run
     may share the index.
 
-    Sensing reads a second memo per reach, the skin list's entries outside
-    a tracked set (untracked). It is keyed by the identity of the skin list
-    and of the tracked frozenset and holds both, so neither id can be
-    reused while the memo stands: it is rebuilt when the list is rebuilt or
-    another set is passed, such as a grown one or, through
-    `replace(world, tracked=...)`, a smaller one. A frozenset cannot
-    change, so the same object always means the same content.
+    Sensing and the cull read a second memo per reach, split(): the moving
+    indices and the skin list's entries, split by a tracked set. It is
+    keyed by the identity of the skin list (the empty `static` tuple on a
+    field without static obstacles) and of the tracked frozenset and holds
+    both, so neither id can be reused while the memo stands: it is rebuilt
+    when the list is rebuilt or another set is passed, such as a grown one
+    or, through `replace(world, tracked=...)`, a smaller one. A frozenset
+    cannot change, so the same object always means the same content.
 
     Obstacles move only when their velocity is nonzero and keep it nonzero
     (walls only flip its sign), so the skin lists stay exact for a whole
@@ -114,7 +128,7 @@ class ObstacleIndex:
     test.
     """
 
-    __slots__ = ("moving", "static", "obstacles", "lists", "unseen")
+    __slots__ = ("moving", "static", "obstacles", "lists", "splits")
 
     def __init__(self, obstacles):
         # the initial obstacles; only the static ones, which never move, are read
@@ -126,8 +140,10 @@ class ObstacleIndex:
         self.static = tuple(static)
         # reach -> (anchor, sorted static indices within reach + _SKIN + 1 m)
         self.lists: dict[float, tuple[Vec3, list[int]]] = {}
-        # reach -> (skin list, tracked set, the list's entries not in the set)
-        self.unseen: dict[float, tuple[list[int], frozenset[int], list[int]]] = {}
+        # reach -> (skin list, tracked set, the moving indices and the
+        # list's entries outside the set, and those in it)
+        self.splits: dict[float, tuple[list[int], frozenset[int],
+                                       list[int], list[int]]] = {}
 
     def _skin(self, p: Vec3, reach: float) -> list[int]:
         """The skin list for `reach` that serves p, rebuilt at p if needed."""
@@ -139,29 +155,22 @@ class ObstacleIndex:
             self.lists[reach] = hit
         return hit[1]
 
-    def near(self, p: Vec3, reach: float) -> list[int]:
-        """Sorted indices of every obstacle whose surface may lie within
-        `reach` of p: a superset of the exact answer. An infinite reach
-        returns every obstacle."""
-        out = list(self.moving)
-        if self.static:
-            out += self._skin(p, reach)
-            if self.moving:
-                out.sort()
-        return out
-
-    def untracked(self, p: Vec3, reach: float,
-                  tracked: frozenset[int]) -> list[int]:
-        """The static entries of near(p, reach) that are not in `tracked`,
-        in index order, from the memo; the caller must not change the list."""
-        if not self.static:
-            return []
-        skin = self._skin(p, reach)
-        hit = self.unseen.get(reach)
+    def split(self, p: Vec3, reach: float,
+              tracked: frozenset[int]) -> tuple[list[int], list[int]]:
+        """Every obstacle whose surface may lie within `reach` of p (a
+        superset of the exact answer; an infinite reach gives every
+        obstacle), split into the indices outside `tracked` and those in
+        it, each in index order, from the memo; the caller must not change
+        the lists."""
+        skin = self._skin(p, reach) if self.static else self.static
+        hit = self.splits.get(reach)
         if hit is None or hit[0] is not skin or hit[1] is not tracked:
-            hit = (skin, tracked, [i for i in skin if i not in tracked])
-            self.unseen[reach] = hit
-        return hit[2]
+            untracked, seen = [], []
+            for i in sorted((*self.moving, *skin)):
+                (seen if i in tracked else untracked).append(i)
+            hit = (skin, tracked, untracked, seen)
+            self.splits[reach] = hit
+        return hit[2], hit[3]
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -179,11 +188,11 @@ class WorldState:
     # built from the initial obstacles and handed on to every later world
     index: ObstacleIndex | None = field(default=None, compare=False, repr=False)
     # set by advance_world on a field with moving obstacles: (vehicle
-    # position, obstacles tuple, the surface distance of each moving obstacle
-    # from that position, in index.moving order); obstacles_within reads the
+    # position, obstacles tuple, each moving obstacle's index mapped to its
+    # surface distance from that position); obstacles_within reads the
     # distances only while the world holds that very position and tuple, so
     # replace() may carry it anywhere
-    moving_distances: tuple[Vec3, tuple[Obstacle, ...], list[float]] | None = field(
+    moving_distances: tuple[Vec3, tuple[Obstacle, ...], dict[int, float]] | None = field(
         default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -274,11 +283,11 @@ def _sample_cylinder(ob: Obstacle, gpos: Vec3, depth_bound: float,
 
 
 def sonar_view(obstacles, candidates, g: GliderState, sonar: SonarModel,
-               depth_bound: float, skip=frozenset()) -> list[int]:
-    """The candidate indices, in their order and less those in `skip`,
-    whose obstacle's surface is within range and any part of it falls
-    inside both field-of-view wedges of the cone centered on the vehicle's
-    attitude (the sonar sits on the nose and pitches with the hull).
+               depth_bound: float) -> list[int]:
+    """The candidate indices, in their order, whose obstacle's surface is
+    within range and any part of it falls inside both field-of-view wedges
+    of the cone centered on the vehicle's attitude (the sonar sits on the
+    nose and pitches with the hull).
 
     The one distance d runs to a sphere's center in 3D and to a pillar's
     axis horizontally, so the nearest surface point lies |d - r| away (for
@@ -300,8 +309,6 @@ def sonar_view(obstacles, candidates, g: GliderState, sonar: SonarModel,
                                          math.remainder, math.tau)
     out = []
     for i in candidates:
-        if i in skip:
-            continue
         ob = obstacles[i]
         c, r = ob.center, ob.radius
         dx = c.x - px
@@ -334,60 +341,42 @@ def sonar_view(obstacles, candidates, g: GliderState, sonar: SonarModel,
     return out
 
 
-def in_sonar_view(ob: Obstacle, g: GliderState, sonar: SonarModel,
-                  depth_bound: float) -> bool:
-    """True when the sonar sees the one obstacle: sonar_view over it alone."""
-    return bool(sonar_view((ob,), (0,), g, sonar, depth_bound))
-
-
 def visible_obstacles(world: WorldState, sonar: SonarModel) -> list[int]:
     """Sorted indices of the obstacles in sonar view that are not yet in
-    `world.tracked`. A field without moving obstacles tests only the
-    index's untracked candidates within range (ObstacleIndex.untracked);
-    one with them walks the index's candidates once, skipping the tracked."""
-    g, index, tracked = world.glider, world.index, world.tracked
-    if index.moving:
-        candidates = index.near(g.position, sonar.range)
-    else:
-        candidates = index.untracked(g.position, sonar.range, tracked)
+    `world.tracked`: sonar_view over the untracked half of the index's
+    split at the sonar's range (ObstacleIndex.split)."""
+    g = world.glider
+    candidates = world.index.split(g.position, sonar.range, world.tracked)[0]
     if not candidates:
         return []
-    return sonar_view(world.obstacles, candidates, g, sonar,
-                      world.bounds.depth, tracked)
+    return sonar_view(world.obstacles, candidates, g, sonar, world.bounds.depth)
 
 
 def obstacles_within(world: WorldState, reach: float) -> dict[int, float]:
     """The members of `world.tracked` whose surface lies within `reach` of
     the vehicle, each mapped to that surface distance, in index order.
 
-    The moving obstacles' distances are the ones advance_world measured
-    for this world (WorldState.moving_distances), read only while the world
-    holds the position and the obstacles they were measured for; a world
-    built otherwise, or replace()d to another vehicle position or other
-    obstacles, measures them here. Of the static obstacles, only the
-    index's skin list for `reach` is measured."""
+    Only the tracked half of the index's split at `reach` is measured
+    (ObstacleIndex.split). A moving obstacle's distance is the one
+    advance_world measured for this world (WorldState.moving_distances),
+    read only while the world holds the position and the obstacles it was
+    measured for; a world built otherwise, or replace()d to another vehicle
+    position or other obstacles, measures it here, as every static one."""
     tracked = world.tracked
     if not tracked:
         return {}
     p = world.glider.position
-    obstacles, index = world.obstacles, world.index
-    out = {}
-    if index.moving:
-        known = world.moving_distances
-        if known is not None and known[0] is p and known[1] is obstacles:
-            gaps = known[2]
-        else:
-            gaps = [surface_distance(obstacles[i], p) for i in index.moving]
-        out = {i: d for i, d in zip(index.moving, gaps)
-               if d <= reach and i in tracked}
-    if index.static:
-        static = {i: d for i in index._skin(p, reach)
-                  if i in tracked and (d := surface_distance(obstacles[i], p)) <= reach}
-        if out and static:
-            out.update(static)
-            out = dict(sorted(out.items()))
-        else:
-            out = out or static
+    obstacles = world.obstacles
+    gaps, out = {}, {}
+    known = world.moving_distances
+    if known is not None and known[0] is p and known[1] is obstacles:
+        gaps = known[2]
+    for i in world.index.split(p, reach, tracked)[1]:
+        d = gaps.get(i)
+        if d is None:
+            d = surface_distance(obstacles[i], p)
+        if d <= reach:
+            out[i] = d
     return out
 
 
@@ -494,7 +483,7 @@ def advance_world(world: WorldState, new_glider: GliderState, dt: float) -> Worl
     p = new_glider.position
     best, measured = math.inf, None
     if index.moving:
-        moved, bounds, gaps = list(obstacles), world.bounds, []
+        moved, bounds, gaps = list(obstacles), world.bounds, {}
         px, py, pz, sqrt = p.x, p.y, p.z, math.sqrt
         for i in index.moving:
             ob = moved[i] = _advance_obstacle(moved[i], bounds, dt)
@@ -503,7 +492,7 @@ def advance_world(world: WorldState, new_glider: GliderState, dt: float) -> Worl
             dy = py - c.y
             dz = pz - c.z
             d = sqrt(dx * dx + dy * dy + dz * dz) - ob.radius
-            gaps.append(d)
+            gaps[i] = d
             if d < best:
                 best = d
         obstacles = tuple(moved)

@@ -1,4 +1,5 @@
-"""The summary arithmetic of `tools/bench_pairs.py`, on canned pair results.
+"""The summary arithmetic of `tools/bench_pairs.py`, on canned pair results,
+and its refusal of too few pairs.
 
 No benchmark runs here: each pair is the JSON a run of
 `missionbench/run.py --workload all` prints, cut down to two metrics.
@@ -7,6 +8,8 @@ No benchmark runs here: each pair is the JSON a run of
 import importlib.util
 import statistics
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
@@ -76,3 +79,17 @@ def test_per_layer_lists_each_traced_pair():
     assert got["traffic.environment.advance_world.us_per_step"] == {
         "parent": [9.0], "change": [9.0]}
     assert got["traffic.steps_per_s"] == {"parent": [1.0], "change": [2.0]}
+
+
+def test_one_pair_is_refused_before_anything_runs(monkeypatch, tmp_path, capsys):
+    """statistics.quantiles raises for a single value, so one pair would
+    run every benchmark and then write nothing: it is refused first."""
+    calls = []
+    monkeypatch.setattr(bench_pairs.subprocess, "run",
+                        lambda *a, **k: calls.append(a))
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(["HEAD~1", "1", str(out)])
+    assert exit_.value.code == 2
+    assert "pairs must be at least 2" in capsys.readouterr().err
+    assert calls == [] and not out.exists()

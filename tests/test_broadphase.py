@@ -10,8 +10,9 @@ its skin lists must be the scan at the list's anchor.
 
 Visibility is held to the sonar test as one obstacle at a time computed it
 before the test was inlined into one loop over the candidates
-(`view_oracle`), and sensing's memo of the untracked candidates to a scan
-whatever tracked sets the queries bring.
+(`view_oracle`), and the memo that splits the candidates by the tracked set,
+which sensing and the cull read, to a scan whatever tracked sets the
+queries bring.
 """
 
 import math
@@ -33,7 +34,6 @@ from mppf.environment import (
     _advance_obstacle,
     advance_world,
     glider_clearance,
-    in_sonar_view,
     obstacles_within,
     sonar_view,
     surface_distance,
@@ -170,19 +170,30 @@ def tracked_sets(n):
     return st.sets(st.integers(0, n - 1)) if n else st.just(set())
 
 
+def check_split(index, obstacles, p, reach, tracked):
+    """The two halves of index.split(p, reach, tracked) are index-ordered
+    and disjoint, each on its side of `tracked`, and together hold every
+    obstacle whose surface lies within `reach` of p."""
+    untracked, seen = index.split(p, reach, tracked)
+    assert untracked == sorted(untracked) and seen == sorted(seen)
+    assert not set(untracked) & tracked and set(seen) <= tracked
+    assert {i for i, ob in enumerate(obstacles)
+            if surface_distance(ob, p) <= reach} <= set(untracked) | set(seen)
+
+
 @settings(max_examples=300, deadline=None)
-@given(fields(lambda sonar, cull: (cull, within(cull))))
-def test_near_holds_every_obstacle_within_reach(case):
-    """The superset each pass filters: clearance takes its minimum over
-    near(p, _CLEAR_REACH) without a scan whenever that minimum lies within
-    _CLEAR_REACH, so it is exact only if no obstacle within reach is left
-    out."""
+@given(fields(lambda sonar, cull: (cull, within(cull))), st.data())
+def test_near_holds_every_obstacle_within_reach(case, data):
+    """The superset each pass filters: sensing and the cull walk the two
+    halves of split(p, reach, tracked), and clearance takes its minimum
+    over the moving obstacles and the same skin list without a scan
+    whenever that minimum lies within _CLEAR_REACH, so each is exact only
+    if no obstacle within reach is left out, whatever the tracked set."""
     world, _, reach = case
     p = world.glider.position
-    got = world.index.near(p, reach)
-    assert got == sorted(got)
-    assert {i for i, ob in enumerate(world.obstacles)
-            if surface_distance(ob, p) <= reach} <= set(got)
+    tracked = frozenset(data.draw(tracked_sets(len(world.obstacles))))
+    for seen in (frozenset(), tracked):
+        check_split(world.index, world.obstacles, p, reach, seen)
 
 
 def test_near_with_an_infinite_reach_returns_every_obstacle():
@@ -194,7 +205,9 @@ def test_near_with_an_infinite_reach_returns_every_obstacle():
                  Obstacle("sphere", 4.0, Vec3(100.0, 100.0, 40.0)))
     index = ObstacleIndex(obstacles)
     for p in (Vec3(0.0, 0.0, 0.0), Vec3(150.0, 60.0, 20.0)):
-        assert index.near(p, math.inf) == [0, 1, 2, 3]
+        assert index.split(p, math.inf, frozenset())[0] == [0, 1, 2, 3]
+        for tracked in (frozenset({1, 2}), frozenset({0, 3}), frozenset(range(4))):
+            check_split(index, obstacles, p, math.inf, tracked)
 
 
 def test_clearance_sees_a_large_sphere_centered_past_the_reach():
@@ -225,7 +238,7 @@ def test_clearance_scans_past_the_reach_of_a_reused_list():
     obstacles = (side, ahead)
     index = ObstacleIndex(obstacles)
     glider_clearance(obstacles, index, a, HULL)
-    assert index.near(p, _CLEAR_REACH) == [0]
+    assert index.split(p, _CLEAR_REACH, frozenset())[0] == [0]
     assert glider_clearance(obstacles, index, p, HULL) == 21.5 - HULL
 
 
@@ -452,7 +465,7 @@ def test_every_skin_list_is_the_scan_at_its_anchor(data):
         p = world.glider.position
         reaches = {s.range for s in sonars} | set(culls) | {_CLEAR_REACH}
         for reach in reaches:
-            world.index.near(p, reach)
+            world.index.split(p, reach, frozenset())
         static = [i for i, ob in enumerate(world.obstacles) if ob.velocity == ZERO]
         assert set(world.index.lists) == (reaches if static else set())
         for reach, (anchor, got) in world.index.lists.items():
@@ -495,7 +508,7 @@ def test_a_mission_keeps_one_skin_list_per_pass_reach(monkeypatch):
     assert steps > 300 and len(rebuilds) <= steps // 10
 
 
-# --- the inline sonar test and the untracked memo --------------------------
+# --- the inline sonar test and the split memo ------------------------------
 
 HEADINGS = st.one_of(
     floats(-math.pi, math.pi),
@@ -658,37 +671,58 @@ def anywhere(draw):
 @given(st.one_of(anywhere(), wedge_edge(), vertical_tie(), on_the_surface(),
                  inside_a_body(), signed_zeros()))
 def test_the_inline_view_test_gives_the_scalar_tests_answer(scene):
-    """sonar_view's one loop and in_sonar_view, its one-obstacle wrapper,
-    against view_oracle: spheres and pillars anywhere, at the last floats
-    inside either wedge and on an exact tie with the vertical one, on and
-    inside the body, and on signed zeros with headings about +-pi."""
+    """sonar_view's one loop over one obstacle against view_oracle:
+    spheres and pillars anywhere, at the last floats inside either wedge
+    and on an exact tie with the vertical one, on and inside the body, and
+    on signed zeros with headings about +-pi."""
     ob, vehicles, sonar, depth = scene
     for g in vehicles:
         want = view_oracle(ob, g, sonar, depth)
-        assert in_sonar_view(ob, g, sonar, depth) is want
         assert sonar_view((ob,), (0,), g, sonar, depth) == ([0] if want else [])
+
+
+@st.composite
+def drifting_sphere(draw):
+    """A sphere whose velocity is nonzero along x, so it moves."""
+    vx = draw(floats(0.05, 0.5)) * draw(st.sampled_from((-1.0, 1.0)))
+    return Obstacle("sphere", draw(floats(0.2, 15.0)),
+                    Vec3(draw(floats(0.0, 200.0)), draw(floats(0.0, 200.0)),
+                         draw(floats(0.0, 50.0))),
+                    Vec3(vx, draw(floats(-0.5, 0.5)), draw(floats(-0.2, 0.2))))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_the_untracked_memo_answers_every_tracked_set(data):
-    """One index of static bodies along a 33 m walk, so every skin list is
-    rebuilt, queried at each step with two sonar ranges in turn and, for
-    each range, a tracked set that grows, the same set again, a smaller
-    one handed in through replace, an equal but new frozenset and the
-    grown one again. Every answer must be the scan's."""
+    """One index of static bodies, of moving ones or of both along a 33 m
+    walk, so every skin list is rebuilt, queried at each step with two
+    sonar ranges and a cull radius in turn and, for each, a tracked set
+    that grows, the same set again, a smaller one handed in through
+    replace, an equal but new frozenset and the grown one again. Sensing
+    and the cull read the same memo for a reach, and every world comes out
+    of advance_world, so the cull reads the handed-on distances. Every
+    answer must be the scan's, the cull's bit for bit."""
     draw = data.draw
-    obstacles = [replace(ob, velocity=ZERO)
-                 for ob in draw(st.lists(free_obstacle(), min_size=1, max_size=20))]
+    kind = draw(st.sampled_from(("static", "moving", "mixed")))
+    if kind == "static":
+        obstacles = [replace(ob, velocity=ZERO)
+                     for ob in draw(st.lists(free_obstacle(), min_size=1, max_size=20))]
+    elif kind == "moving":
+        obstacles = draw(st.lists(drifting_sphere(), min_size=1, max_size=20))
+    else:
+        obstacles = draw(st.lists(st.one_of(free_obstacle(), drifting_sphere()),
+                                  min_size=2, max_size=20))
+        obstacles[:2] = [replace(obstacles[0], velocity=ZERO), draw(drifting_sphere())]
     n = len(obstacles)
     sonars = [SonarModel(draw(floats(5.0, 120.0)), draw(floats(0.5, 6.2)),
                          draw(floats(0.2, 3.0))) for _ in range(2)]
+    culls = (sonars[0].range, draw(floats(0.5, 40.0)))
     start = Vec3(draw(floats(0.0, 200.0)), draw(floats(0.0, 200.0)),
                  draw(floats(0.0, 50.0)))
     way = draw(floats(-math.pi, math.pi))
     world = WorldState(at(start, 0.0, 0.0), tuple(obstacles), None, BOUNDS, HULL)
     index, tracked = world.index, frozenset()
-    built = {sonar.range: [] for sonar in sonars}
+    built = {r: [] for r in (*(sonar.range for sonar in sonars), *culls)}
     for k in range(12):
         p = offset(start, 3.0 * k * math.cos(way), 3.0 * k * math.sin(way), 0.0)
         world = advance_world(world, at(p, draw(HEADINGS), draw(floats(-0.7, 0.7))), 1.0)
@@ -699,17 +733,24 @@ def test_the_untracked_memo_answers_every_tracked_set(data):
         # the same content in another object, but for the empty singleton
         again = frozenset(sorted(smaller))
         for seen in (tracked, grown, grown, smaller, again, grown):
+            w = replace(world, tracked=seen)
             for sonar in sonars:
-                want = [i for i, ob in enumerate(obstacles)
+                want = [i for i, ob in enumerate(world.obstacles)
                         if i not in seen and view_oracle(ob, g, sonar, BOUNDS.depth)]
-                assert visible_obstacles(replace(world, tracked=seen), sonar) == want
+                assert visible_obstacles(w, sonar) == want
+            for cull in culls:
+                got = obstacles_within(w, cull)
+                assert [(i, d.hex()) for i, d in got.items()] == cull_scan(w, cull)
         for reach, lists in built.items():
-            assert index.untracked(p, reach, grown) is index.untracked(p, reach, grown)
-            skin = index.lists[reach][1]
-            if not any(skin is old for old in lists):
-                lists.append(skin)
+            first, second = index.split(p, reach, grown), index.split(p, reach, grown)
+            assert first[0] is second[0] and first[1] is second[1]
+            if index.static:
+                skin = index.lists[reach][1]
+                if not any(skin is old for old in lists):
+                    lists.append(skin)
         tracked = grown
-    assert all(len(lists) >= 2 for lists in built.values())
+    if index.static:
+        assert all(len(lists) >= 2 for lists in built.values())
 
 
 def test_a_rebuilt_skin_list_renews_the_untracked_memo():
@@ -732,24 +773,26 @@ def test_a_rebuilt_skin_list_renews_the_untracked_memo():
 
 
 def test_anchorage_sensing_walks_only_the_untracked(monkeypatch):
-    """Over both anchorage missions each sensing call walks the index's
-    untracked candidates, at most 35 a step on average, against the about
-    121 entries of the sonar's skin list that a walk over every candidate
-    within range would test."""
+    """Over both anchorage missions each sensing call walks the untracked
+    half of the index's split at the sonar's range, at most 35 a step on
+    average, against the about 121 entries of the sonar's skin list that a
+    walk over every candidate within range would test. Only the splits at
+    the sonar's range count: the cull splits at its own radius."""
     sc = load_scenario(SCENE)
     walked, senses = [], [0]
-    untracked, visible = ObstacleIndex.untracked, harness.visible_obstacles
+    split, visible = ObstacleIndex.split, harness.visible_obstacles
 
     def counted(index, p, reach, tracked):
-        out = untracked(index, p, reach, tracked)
-        walked.append(len(out))
+        out = split(index, p, reach, tracked)
+        if reach == sc.sonar.range:
+            walked.append(len(out[0]))
         return out
 
     def sense(world, sonar):
         senses[0] += 1
         return visible(world, sonar)
 
-    monkeypatch.setattr(ObstacleIndex, "untracked", counted)
+    monkeypatch.setattr(ObstacleIndex, "split", counted)
     monkeypatch.setattr(harness, "visible_obstacles", sense)
     for mode in ("baseline", "advanced"):
         harness.run_scenario(replace(sc, mode=mode))

@@ -21,7 +21,7 @@ from mppf.environment import (
     advance_world,
     flow_velocity,
     glider_clearance,
-    in_sonar_view,
+    sonar_view,
     step_kinematics,
     surface_distance,
     surface_points,
@@ -67,6 +67,24 @@ def test_sonar_model_refuses_what_the_reader_refuses():
     for rng in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="range"):
             SonarModel(range=rng)
+
+
+def test_flow_and_bounds_refuse_what_the_reader_refuses():
+    """A zero cell_size or max_depth would divide by zero in flow_velocity
+    and a NaN amplitude give a NaN flow; each is refused in one line, as
+    is a domain extent that is not finite and positive. The reader's
+    smallest values are accepted."""
+    assert VortexFlow(amplitude=0.0, cell_size=1e-6, max_depth=1e-6).amplitude == 0.0
+    assert Bounds(1.0, 1.0, 1.0).depth == 1.0
+    table = [(VortexFlow, "amplitude", v) for v in (-0.1, math.nan, math.inf)]
+    table += [(kind, name, v)
+              for kind, names in ((VortexFlow, ("cell_size", "max_depth")),
+                                  (Bounds, ("x", "y", "depth")))
+              for name in names for v in (0.0, -1.0, math.nan, math.inf)]
+    for kind, name, value in table:
+        with pytest.raises(ValueError, match=name) as err:
+            kind(**{name: value})
+        assert "\n" not in str(err.value)
 
 
 # --- distances -------------------------------------------------------------
@@ -200,7 +218,7 @@ def test_range_gate_matches_the_nearest_surface_point(scene):
     ob, g, sonar, depth = scene
     seen, gap = nearest_point_in_view(ob, g, sonar, depth)
     if abs(gap - sonar.range) > 1e-9:
-        assert in_sonar_view(ob, g, sonar, depth) == seen
+        assert sonar_view((ob,), (0,), g, sonar, depth) == ([0] if seen else [])
 
 
 def test_extent_widens_the_vertical_wedge():

@@ -134,8 +134,9 @@ def main(argv=None) -> int:
     ap.add_argument("pairs", type=int, help="untraced pairs to run")
     ap.add_argument("out", type=Path, help="JSON file to write")
     args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("pairs must be at least 1")
+    # statistics.quantiles needs two values a side
+    if args.pairs < 2:
+        ap.error("pairs must be at least 2")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
