@@ -39,6 +39,18 @@ class EscapeConfig:
     overhead_pad: float = 1.0
     overhead_clearance: float = 2.0
 
+    def __post_init__(self):
+        # escape_step divides by decay_tau; the detector slices by window
+        for name in ("vertical_speed", "progress_epsilon", "decay_tau"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"escape {name} must be finite and positive")
+        if not (isinstance(self.window, int) and self.window >= 1):
+            raise ValueError("escape window must be an integer >= 1")
+        for name in ("surface_margin", "cz_margin", "overhead_pad",
+                     "overhead_clearance"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"escape {name} must be finite and non-negative")
+
 
 # built on every step, so not frozen: see the geometry module docstring
 @dataclass(slots=True, unsafe_hash=True)

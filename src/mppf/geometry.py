@@ -147,6 +147,19 @@ class GliderSpec:
     body_radius: float = 0.6
     max_depth: float = 30.0
 
+    def __post_init__(self):
+        # int fields pass (see _glide_rows); a zero angle or speed only
+        # shrinks the fan, where a NaN would run on through every row
+        for name in ("max_heading_step", "max_glide_angle"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"glider {name} must be finite")
+        for name in ("speed_down", "speed_up"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"glider {name} must be finite and non-negative")
+        for name in ("body_radius", "max_depth"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"glider {name} must be finite and positive")
+
     def speed_for(self, theta: float) -> float:
         """Still-water speed for a glide angle: buoyancy-driven descent is
         faster than ascent; level flight uses the ascent figure."""

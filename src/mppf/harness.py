@@ -1,13 +1,15 @@
 """Simulation driver wiring planner, escape, and environment, plus outputs.
 
-Each step of a run has four phases: sense the obstacles; decide on a
-planner command or, when the vehicle is trapped or has no feasible
-candidate, on a vertical escape step; move, where advance_world takes the
-vehicle the escape step or step_kinematics computed and moves the rest of
-the world; and after a planner step keep the books (progress, waypoints,
-cross-track replans). Every random draw comes from one seeded generator at
-materialization time and the arithmetic is pure IEEE doubles, so a
-(scenario, seed) pair reproduces byte-identical output files.
+mission() runs a scenario as a generator of StepRecords, one per step that
+senses, and run_scenario drains it. Each step has four phases: sense the
+obstacles; decide on a planner command or, when the vehicle is trapped or
+has no feasible candidate, on a vertical escape step; move, where
+advance_world takes the vehicle the escape step or step_kinematics
+computed and moves the rest of the world; and after a planner step keep
+the books (progress, waypoints, cross-track replans). Every random draw
+comes from one seeded generator at materialization time and the
+arithmetic is pure IEEE doubles, so a (scenario, seed) pair reproduces
+byte-identical output files.
 
 summary.yaml (and the CLI's compare.yaml) is written with libyaml's
 emitter, yaml.CSafeDumper, where PyYAML was built with libyaml, and with
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Generator, NamedTuple, Sequence
 
 import yaml
 
@@ -39,8 +41,14 @@ from mppf.environment import (
     visible_obstacles,
 )
 from mppf.errors import NoFeasibleWaypoint, TrappedError
-from mppf.geometry import Attitude, GliderState, Vec3, build_sample_surface
-from mppf.potentials import MODES, ObstaclePoint, select_goto
+from mppf.geometry import (
+    Attitude,
+    GliderState,
+    SampleSurface,
+    Vec3,
+    build_sample_surface,
+)
+from mppf.potentials import MODES, GotoCommand, ObstaclePoint, select_goto
 from mppf.scenario import (
     RNG_NAME,
     Scenario,
@@ -100,7 +108,7 @@ class CompareResult:
 
 def cull_radius(scenario: Scenario, obstacles: Sequence[Obstacle]) -> float:
     """Surface distance beyond which a tracked obstacle cannot matter to
-    any reader of a step's samples. run_scenario culls the tracked
+    any reader of a step's samples. mission() culls the tracked
     obstacles to it, and each reader then samples only the culled ones it
     can need (_Samples).
 
@@ -216,15 +224,50 @@ class _Samples(dict):
         return out
 
 
+class StepRecord(NamedTuple):
+    """One step of a mission that sensed, as mission() yields it.
+
+    Each field is an object the step bound anyway, held by reference, so
+    a record costs the step no work. `samples` holds the obstacles the
+    step's readers sampled; indexing it for another one samples that one.
+    """
+
+    world: WorldState  # sensed and decided in, its tracked set grown
+    plan: saw.WaypointPlan  # the plan the step decided with
+    samples: _Samples | None  # None for an empty cull
+    in_cz: bool
+    fan: SampleSurface | None  # handed to select_goto; None if not asked
+    cmd: GotoCommand | None  # None on an escape step or a trapped one
+    escape: esc.EscapeState  # after the decision
+    direction: str | None  # the escape started on this step, if any
+    moved: WorldState | None  # after the move; None when trapped
+
+
 def run_scenario(scenario: Scenario, *, mode: str | None = None,
                  seed: int | None = None, max_steps: int | None = None) -> RunResult:
-    """Simulate one scenario to termination.
+    """Simulate one scenario to termination: mission(), drained.
 
     Keyword overrides exist for the CLI and sweeps; they default to the
     scenario's own fields. Termination: goal within arrival radius,
     collision (before the first move when the hull starts touching an
     obstacle), trapped (no escape direction left), or the step budget.
     A negative seed raises ValueError (from materialize_obstacles).
+    """
+    steps = mission(scenario, mode=mode, seed=seed, max_steps=max_steps)
+    try:
+        while True:
+            next(steps)
+    except StopIteration as end:
+        return end.value
+
+
+def mission(scenario: Scenario, *, mode: str | None = None,
+            seed: int | None = None, max_steps: int | None = None
+            ) -> Generator[StepRecord, None, RunResult]:
+    """run_scenario's run as a generator: one StepRecord per step that
+    senses, in step order, and the RunResult as its return value (PEP
+    380). Arguments are as for run_scenario; a bad one raises at the
+    first next().
     """
     mode = scenario.mode if mode is None else mode
     if mode not in MODES:
@@ -286,12 +329,12 @@ def run_scenario(scenario: Scenario, *, mode: str | None = None,
             est = esc.end_escape(est)
             events.append((world.time, "escape_end"))
             plan = replan(g.position)
-        cmd = None
+        cmd = fan = direction = None
         if est.mode == "inactive" and not esc.detect_local_minimum(
                 est.progress_history, in_cz, cfg_escape):
+            fan = build_sample_surface(g, spec, dt)
             try:
-                cmd = select_goto(build_sample_surface(g, spec, dt),
-                                  plan.active_waypoint,
+                cmd = select_goto(fan, plan.active_waypoint,
                                   samples.kernel(kernel_reach) if near else [],
                                   flow_here, scenario.potentials, mode,
                                   spec.max_depth)
@@ -310,14 +353,19 @@ def run_scenario(scenario: Scenario, *, mode: str | None = None,
             except TrappedError:
                 status = STATUS_TRAPPED
                 events.append((world.time, "trapped"))
+                yield StepRecord(world, plan, samples, in_cz, fan, cmd, est,
+                                 direction, None)
                 break
 
         # move: the row holds the state the step starts from
         kind, u_min = ("escape", math.nan) if cmd is None else ("follow", cmd.potential)
         rows.append(TrajectorySample(world.time, g.position, g.attitude.psi,
                                      g.attitude.theta, kind, u_min))
-        world = advance_world(world, escaped if cmd is None else
+        moved = advance_world(world, escaped if cmd is None else
                               step_kinematics(g, cmd, flow_here, dt), dt)
+        yield StepRecord(world, plan, samples, in_cz, fan, cmd, est,
+                         direction, moved)
+        world = moved
         min_clear = min(min_clear, world.clearance)
         if world.collision:
             status = STATUS_COLLISION

@@ -111,6 +111,11 @@ class Scenario:
     obstacles: tuple[Obstacle, ...] = ()
     random_obstacles: RandomObstacles | None = None
 
+    def __post_init__(self):
+        # step_kinematics divides by dt
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("scenario dt must be finite and positive")
+
 
 _TOP_KEYS = {"schema_version"} | {f.name for f in fields(Scenario)}
 

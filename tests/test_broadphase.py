@@ -777,10 +777,11 @@ def test_anchorage_sensing_walks_only_the_untracked(monkeypatch):
     half of the index's split at the sonar's range, at most 35 a step on
     average, against the about 121 entries of the sonar's skin list that a
     walk over every candidate within range would test. Only the splits at
-    the sonar's range count: the cull splits at its own radius."""
+    the sonar's range count: the cull splits at its own radius. A mission
+    yields one record per step that senses."""
     sc = load_scenario(SCENE)
-    walked, senses = [], [0]
-    split, visible = ObstacleIndex.split, harness.visible_obstacles
+    walked, senses = [], 0
+    split = ObstacleIndex.split
 
     def counted(index, p, reach, tracked):
         out = split(index, p, reach, tracked)
@@ -788,15 +789,10 @@ def test_anchorage_sensing_walks_only_the_untracked(monkeypatch):
             walked.append(len(out[0]))
         return out
 
-    def sense(world, sonar):
-        senses[0] += 1
-        return visible(world, sonar)
-
     monkeypatch.setattr(ObstacleIndex, "split", counted)
-    monkeypatch.setattr(harness, "visible_obstacles", sense)
     for mode in ("baseline", "advanced"):
-        harness.run_scenario(replace(sc, mode=mode))
-    assert len(walked) == senses[0] > 600
+        senses += sum(1 for _ in harness.mission(replace(sc, mode=mode)))
+    assert len(walked) == senses > 600
     assert sum(walked) / len(walked) <= 35.0
 
 

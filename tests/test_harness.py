@@ -17,7 +17,6 @@ from mppf.environment import (
     flow_velocity,
     glider_clearance,
     surface_points,
-    visible_obstacles,
 )
 from mppf.errors import NoFeasibleWaypoint, TrappedError
 from mppf.geometry import Vec3, build_sample_surface
@@ -32,7 +31,7 @@ from mppf.harness import (
     summary_dict,
     trajectory_csv,
 )
-from mppf.potentials import GotoCommand, select_goto
+from mppf.potentials import select_goto
 from mppf.scenario import load_scenario, materialize_obstacles, scenario_from_dict
 
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
@@ -276,6 +275,17 @@ def test_trapped_choosing_a_direction_records_no_move(monkeypatch, traps):
 
 # --- decision replay -------------------------------------------------------
 
+def drain(steps):
+    """The records a mission() generator yields, and the RunResult it
+    returns."""
+    records = []
+    try:
+        while True:
+            records.append(next(steps))
+    except StopIteration as end:
+        return records, end.value
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -284,71 +294,74 @@ def outcome(fn, *args):
 
 
 def test_logged_decisions_replay_exactly(monkeypatch):
-    """Every step's decisions, replayed from the world it saw against the
-    points of the whole tracked set rather than the ones each reader
-    sampled, come out the same: the critical-zone flag, the planner's
-    outcome and the escape direction. No obstacle is sampled twice in a
-    step. static_cluster and concave_trap escape among spheres;
+    """Every step's decisions, read from its record and replayed from the
+    world it saw against the points of the whole tracked set rather than
+    the ones each reader sampled, come out the same: the critical-zone
+    flag, the planner's outcome and the escape direction. No obstacle is
+    sampled twice in a step: each one sampled lands in its step's samples,
+    once. static_cluster and concave_trap escape among spheres;
     cylinder_flow escapes beside a pillar."""
-    steps = []
-    in_zone, choose = escape.obstacles_in_critical_zone, escape.choose_direction
-
-    def visible(world, sonar):
-        found = visible_obstacles(world, sonar)
-        # tracked once seen, as the harness does
-        steps.append({"world": world, "sampled": [],
-                      "tracked": sorted(world.tracked.union(found))})
-        return found
+    sampled = [0]
 
     def sample(world, indices, sonar):
-        steps[-1]["sampled"] += indices
+        sampled[0] += len(indices)
         return surface_points(world, indices, sonar)
 
-    def logged(key, fn):
-        def wrapper(*args):
-            steps[-1][key + "_args"] = args
-            try:
-                steps[-1][key] = fn(*args)
-            except (NoFeasibleWaypoint, TrappedError) as e:
-                steps[-1][key] = type(e)
-                raise
-            return steps[-1][key]
-        return wrapper
-
-    monkeypatch.setattr(harness, "visible_obstacles", visible)
     monkeypatch.setattr(harness, "surface_points", sample)
-    monkeypatch.setattr(harness, "select_goto", logged("goto", select_goto))
-    monkeypatch.setattr(escape, "obstacles_in_critical_zone",
-                        logged("in_cz", in_zone))
-    monkeypatch.setattr(escape, "choose_direction",
-                        logged("direction", choose))
     for name in ("static_cluster", "concave_trap", "cylinder_flow"):
         sc = load_scenario(SCENARIOS / f"{name}.yaml")
         spec, cfg = sc.glider, sc.escape
-        steps.clear()
-        res = run_scenario(sc)
+        sampled[0] = 0
+        records, res = drain(harness.mission(sc))
+        assert sampled[0] == sum(len(rec.samples) for rec in records
+                                 if rec.samples is not None)
         follow = [(s.position, s.u_min) for s in res.trajectory[:-1]
                   if s.mode == "follow"]
-        moves = [(step["world"].glider.position, step["goto"].potential)
-                 for step in steps if isinstance(step.get("goto"), GotoCommand)]
+        moves = [(rec.world.glider.position, rec.cmd.potential)
+                 for rec in records if rec.cmd is not None]
         assert follow == moves and moves
-        assert sum("direction" in step for step in steps) == res.escapes > 0
+        assert all(rec.fan is not None for rec in records if rec.cmd is not None)
+        assert sum(rec.direction is not None for rec in records) == res.escapes > 0
 
-        for step in steps:
-            world = step["world"]
+        for rec in records:
+            world = rec.world
             pos, hull = world.glider.position, world.body_radius
-            assert len(set(step["sampled"])) == len(step["sampled"])
-            pts = surface_points(world, step["tracked"], sc.sonar)
-            assert step.get("in_cz", False) == in_zone(pts, pos, hull, cfg)
-            if "goto" in step:
-                waypoint = step["goto_args"][1]
-                assert step["goto"] == outcome(
-                    select_goto, build_sample_surface(world.glider, spec, sc.dt),
-                    waypoint, pts, flow_velocity(world.flow, pos),
-                    sc.potentials, sc.mode, spec.max_depth)
-            if "direction" in step:
-                assert step["direction"] == outcome(
-                    choose, pos, pts, cfg, hull, spec.max_depth)
+            pts = surface_points(world, sorted(world.tracked), sc.sonar)
+            assert rec.in_cz == escape.obstacles_in_critical_zone(pts, pos, hull, cfg)
+            if rec.fan is not None:  # the planner was asked
+                assert rec.fan == build_sample_surface(world.glider, spec, sc.dt)
+                assert (NoFeasibleWaypoint if rec.cmd is None else rec.cmd) == outcome(
+                    select_goto, rec.fan, rec.plan.active_waypoint, pts,
+                    flow_velocity(world.flow, pos), sc.potentials, sc.mode,
+                    spec.max_depth)
+            # a direction was asked for when an escape started, or when the
+            # step ended trapped with no escape under way
+            if rec.direction is not None or (rec.moved is None
+                                             and rec.escape.mode == "inactive"):
+                assert (rec.direction or TrappedError) == outcome(
+                    escape.choose_direction, pos, pts, cfg, hull, spec.max_depth)
+
+
+def test_a_mission_yields_one_record_per_sensing_step(monkeypatch, traps):
+    """mission() yields one record per step that senses, in step order:
+    the world the step decided in and the one it moved to, which only a
+    step that ends trapped lacks. cmd is None exactly on the escape rows.
+    Drained, it returns what run_scenario returns. concave_trap reaches its
+    goal after escapes; the traps field ends trapped mid-escape."""
+    n = count_calls(monkeypatch)
+    for sc, status in ((load_scenario(SCENARIOS / "concave_trap.yaml"), "reached"),
+                       (scenario(traps), "trapped")):
+        n.update(senses=0, moves=0)
+        records, res = drain(harness.mission(sc))
+        assert res.status == status
+        assert len(records) == n["senses"]
+        assert [rec.moved is None for rec in records] == (
+            [False] * (len(records) - 1) + [status == "trapped"])
+        rows = res.trajectory
+        assert [rec.world.time for rec in records] == [s.t for s in rows[:len(records)]]
+        assert [rec.cmd is None for rec in records if rec.moved is not None] == [
+            s.mode == "escape" for s in rows[:-1]]
+        assert res == run_scenario(sc)
 
 
 # --- outputs ---------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -134,6 +135,40 @@ BAD = [
 @pytest.mark.parametrize("fields,want", BAD, ids=[next(iter(f)) for f, _ in BAD])
 def test_problem_list_is_exact(fields, want):
     assert problems(fields) == want
+
+
+def test_glider_escape_and_dt_refuse_what_breaks_a_run():
+    """A Scenario built in code gets a one-line ValueError where the reader
+    would list a problem, not a ZeroDivisionError mid-run (a zero
+    decay_tau or dt) or a run that ends with a NaN clearance (a NaN hull).
+    The reader's smallest values are accepted, and so are int fields and
+    the zero angles and speeds that only shrink the fan."""
+    sc = load_scenario(ROOT / "scenarios" / "concave_trap.yaml")
+    for key, kind in (("glider", GliderSpec), ("escape", EscapeConfig)):
+        smallest = {field: math.radians(lo) if k == scenario.DEG else lo
+                    for field, lo, _, k in scenario.GROUPS[key].values()}
+        built = kind(**smallest)
+        assert all(getattr(built, f) == v for f, v in smallest.items())
+    assert GliderSpec(0, 0, 1, 0, 1, 30).max_depth == 30
+    assert replace(sc, dt=5e-324).dt == 5e-324
+    positive = (0.0, -1.0, math.nan, math.inf)
+    non_negative = (-1.0, math.nan, math.inf)
+    rows = ((GliderSpec, ("max_heading_step", "max_glide_angle"),
+             (math.nan, math.inf, -math.inf)),
+            (GliderSpec, ("speed_down", "speed_up"), non_negative),
+            (GliderSpec, ("body_radius", "max_depth"), positive),
+            (EscapeConfig, ("vertical_speed", "progress_epsilon", "decay_tau"),
+             positive),
+            (EscapeConfig, ("window",), (0, -1, 2.5, math.nan)),
+            (EscapeConfig, ("surface_margin", "cz_margin", "overhead_pad",
+                            "overhead_clearance"), non_negative),
+            (lambda **kw: replace(sc, **kw), ("dt",), positive))
+    for kind, names, values in rows:
+        for name in names:
+            for value in values:
+                with pytest.raises(ValueError, match=name) as err:
+                    kind(**{name: value})
+                assert "\n" not in str(err.value)
 
 
 def test_keepout_checked_even_when_the_field_cannot_be_built():
