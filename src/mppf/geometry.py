@@ -12,16 +12,14 @@ point of the fan, is built only on request (SampleSurface.candidates).
 
 The rows depend only on the attitude, a few spec fields and dt, and
 missions revisit few attitudes (the eight obstacle-free benchmark
-missions make 3,025 decisions from 79 distinct headings), so
-build_sample_surface keeps each row set it builds in one of two
-module-level memos: heading rows keyed by (psi, max_heading_step), glide
-rows by (theta, max_glide_angle, speed_down, speed_up, dt). Each memo is
-emptied when it holds MEMO_SIZE entries. A hit returns the bits a fresh
-build would: the rows are a pure function of the key's values, and a key
-holding a zero also carries the sign of each value, because -0.0 == 0.0
-as dict keys while the rows built from them can differ in the sign of a
-zero. The entries hold no caller's state, so every caller in the process
-may share them.
+missions make 3,025 decisions from 79 distinct headings), so each row
+builder is an lru_cache of MEMO_SIZE entries keyed by value: heading
+rows by (psi, max_heading_step), glide rows by (theta, max_glide_angle,
+speed_down, speed_up, dt). A hit returns the bits a fresh build would.
+Keys compare by value, so 0.0 and -0.0 share an entry; that is safe
+because GliderSpec and Scenario refuse a zero step, envelope, speed or
+dt, and a zero psi or theta of either sign builds the same rows: it
+enters them as psi + 0 * step, which is +0.0, or under abs().
 
 One rule covers the value types of the package (the plain records of a
 finished run in harness aside). A type built on every step (Vec3,
@@ -41,9 +39,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 GRID_N = 5  # candidate headings / glide angles per axis (5x5 surface)
-MEMO_SIZE = 4096  # entries per row memo; a bundled mission needs under 100
+MEMO_SIZE = 4096  # entries per row cache; a bundled mission needs under 100
 
 
 def wrap_angle(a: float) -> float:
@@ -148,22 +147,25 @@ class GliderSpec:
     max_depth: float = 30.0
 
     def __post_init__(self):
-        # int fields pass (see _glide_rows); a zero angle or speed only
-        # shrinks the fan, where a NaN would run on through every row
-        for name in ("max_heading_step", "max_glide_angle"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"glider {name} must be finite")
-        for name in ("speed_down", "speed_up"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"glider {name} must be finite and non-negative")
-        for name in ("body_radius", "max_depth"):
+        # the scenario reader's angle ranges: the row caches need a step
+        # whose half is far from zero (see the module docstring), and a
+        # negative or near-vertical envelope leaves no usable glide
+        for name, hi in (("max_heading_step", 180.0), ("max_glide_angle", 89.0)):
+            if not math.radians(1.0) <= getattr(self, name) <= math.radians(hi):
+                raise ValueError(f"glider {name} must lie in [1, {hi:g}] degrees")
+        for name in ("speed_down", "speed_up", "body_radius", "max_depth"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"glider {name} must be finite and positive")
 
     def speed_for(self, theta: float) -> float:
-        """Still-water speed for a glide angle: buoyancy-driven descent is
-        faster than ascent; level flight uses the ascent figure."""
-        return self.speed_down if theta < 0.0 else self.speed_up
+        """Still-water speed for a glide angle: see glide_speed."""
+        return glide_speed(theta, self.speed_down, self.speed_up)
+
+
+def glide_speed(theta: float, speed_down: float, speed_up: float) -> float:
+    """Still-water speed for a glide angle: buoyancy-driven descent is
+    faster than ascent; level flight uses the ascent figure."""
+    return speed_down if theta < 0.0 else speed_up
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -238,59 +240,32 @@ def build_sample_surface(state: GliderState, spec: GliderSpec, dt: float) -> Sam
     speed(theta_i) * dt from the current position; the largest is the
     surface's reach.
 
-    The heading rows and the glide rows (with the reach) are each built
-    once per key and then recalled: heading rows by (psi,
-    max_heading_step), glide rows by (theta, max_glide_angle,
-    speed_down, speed_up, dt). Each memo is emptied when it reaches
-    MEMO_SIZE entries. A recalled row set has the bits of a fresh build
-    (see the module docstring).
+    dt must be positive (Scenario refuses anything else). The heading
+    rows and the glide rows (with the reach) come from their builders'
+    caches (see the module docstring).
     """
     att = state.attitude
     psi0, theta0 = att.psi, att.theta
-    headings, dpsi = _recall(_heading_memo, (psi0, spec.max_heading_step),
-                             _heading_rows, psi0, spec)
-    glides, dtheta, reach = _recall(
-        _glide_memo, (theta0, spec.max_glide_angle, spec.speed_down,
-                      spec.speed_up, dt), _glide_rows, theta0, spec, dt)
+    headings, dpsi = _heading_rows(psi0, spec.max_heading_step)
+    glides, dtheta, reach = _glide_rows(theta0, spec.max_glide_angle,
+                                        spec.speed_down, spec.speed_up, dt)
     return SampleSurface(state.position, att, headings, glides, reach,
                          dpsi, dtheta)
 
 
-_heading_memo: dict = {}
-_glide_memo: dict = {}
-
-
-def _recall(memo: dict, key: tuple, build, *args):
-    """``memo[key]``, built by ``build(*args)`` on a miss.
-
-    ``build`` must depend only on the values in ``key``. A key holding a
-    zero also carries every value's sign, so 0.0 and -0.0 get separate
-    entries. A full memo is emptied before the new entry goes in.
-    """
-    if 0.0 in key:
-        key += tuple(math.copysign(1.0, v) for v in key)
-    rows = memo.get(key)
-    if rows is None:
-        if len(memo) >= MEMO_SIZE:
-            memo.clear()
-        rows = memo[key] = build(*args)
-    return rows
-
-
-def _heading_rows(psi0: float, spec: GliderSpec):
+@lru_cache(maxsize=MEMO_SIZE)
+def _heading_rows(psi0: float, max_heading_step: float):
     """The heading rows around psi0 and their |dpsi| column."""
     half = (GRID_N - 1) // 2
-    psi_step = spec.max_heading_step / half
-    rows = []
-    turns = []
-    for i in range(-half, half + 1):
-        psi_i = wrap_angle(psi0 + i * psi_step)
-        rows.append((psi_i, math.cos(psi_i), math.sin(psi_i)))
-        turns.append(abs(angle_diff(psi_i, psi0)))
-    return tuple(rows), tuple(turns)
+    psi_step = max_heading_step / half
+    psis = [wrap_angle(psi0 + i * psi_step) for i in range(-half, half + 1)]
+    return (tuple((psi, math.cos(psi), math.sin(psi)) for psi in psis),
+            tuple(abs(angle_diff(psi, psi0)) for psi in psis))
 
 
-def _glide_rows(theta0: float, spec: GliderSpec, dt: float):
+@lru_cache(maxsize=MEMO_SIZE)
+def _glide_rows(theta0: float, max_glide_angle: float, speed_down: float,
+                speed_up: float, dt: float):
     """The glide rows around theta0, their |dtheta| column and the reach.
 
     One cos/sin pair per glide angle, multiplied in spherical_to_cartesian's
@@ -299,14 +274,14 @@ def _glide_rows(theta0: float, spec: GliderSpec, dt: float):
     int fields, whose key equals the float spec's.
     """
     half = (GRID_N - 1) // 2
-    limit = float(spec.max_glide_angle)
+    limit = float(max_glide_angle)
     theta_step = limit / half
     rows = []
     turns = []
     reach = 0.0
     for j in range(-half, half + 1):
         theta_j = min(limit, max(-limit, theta0 + j * theta_step))
-        speed = float(spec.speed_for(theta_j))
+        speed = float(glide_speed(theta_j, speed_down, speed_up))
         r = speed * dt
         reach = max(reach, r)
         ct = math.cos(theta_j)

@@ -59,6 +59,14 @@ class PotentialParams:
     kappa: float = 0.1
     flow_align_max: float = math.radians(20.0)
 
+    def __post_init__(self):
+        # a NaN or infinite gain makes every candidate's potential NaN
+        for name in ("xi", "eta", "tau", "kappa"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"potentials {name} must be finite and non-negative")
+        if not math.radians(1.0) <= self.flow_align_max <= math.radians(89.0):
+            raise ValueError("potentials flow_align_max must lie in [1, 89] degrees")
+
 
 class ObstaclePoint(NamedTuple):
     """One sonar sample on an obstacle surface."""

@@ -43,6 +43,18 @@ class SawtoothParams:
     replan_cross_track: float = 3.0
     literal_stride: bool = False
 
+    def __post_init__(self):
+        # stride_length divides by max_depth and the envelope's tangent; a
+        # NaN arrival_radius never arrives
+        for name in ("max_depth", "water_depth", "arrival_radius",
+                     "replan_cross_track"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"sawtooth {name} must be finite and positive")
+        if not 0.0 <= self.depth_margin < math.inf:
+            raise ValueError("sawtooth depth_margin must be finite and non-negative")
+        if not math.radians(1.0) <= self.max_glide_angle <= math.radians(89.0):
+            raise ValueError("sawtooth max_glide_angle must lie in [1, 89] degrees")
+
 
 @dataclass(frozen=True, slots=True)
 class WaypointPlan:

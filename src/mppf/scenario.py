@@ -394,6 +394,9 @@ def scenario_from_dict(data: dict, name: str = "scenario",
     elif "\0" in title:  # the default output directory is named after it
         problems.append("name: must not contain a NUL character")
         title = name
+    elif "/" in title or "\\" in title:  # nor may it leave runs/
+        problems.append("name: must not contain a path separator")
+        title = name
 
     mode = data.get("mode", "advanced")
     if mode not in MODES:

@@ -365,3 +365,24 @@ def test_run_and_compare_materialize_once_per_mission(tmp_path, monkeypatch):
         calls.clear()
         cli.main(argv + ["--scenario", path, "--max-steps", "5"])
         assert len(calls) == want, argv[0]
+
+
+@pytest.mark.parametrize("name", ["../../escaped", "..\\..\\escaped", "runs/nested"])
+def test_path_separator_in_the_name_rejected_by_every_subcommand(
+        tmp_path, capsys, monkeypatch, name):
+    # run and compare would write to runs/<name>-..., which "../../escaped"
+    # takes two levels above runs/: here to tmp_path, outside the cwd
+    data = {"schema_version": 1, "name": name, "start": [10, 10, 5],
+            "goal": [20, 10, 5]}
+    path = write(tmp_path, data, "sep.yaml")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    for argv in (["validate"], ["run"], ["compare"]):
+        assert cli.main(argv + ["--scenario", path]) == 64
+        captured = capsys.readouterr()
+        assert captured.err == (f"invalid scenario {path}:\n"
+                                "  - name: must not contain a path separator\n")
+        assert "Traceback" not in captured.err and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sep.yaml", "work"]
+    assert not any(work.iterdir())

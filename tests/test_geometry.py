@@ -153,7 +153,7 @@ GLIDES = st.one_of(st.floats(-1.6, 1.6), st.sampled_from([0.0, -0.0, 1.5, -1.5])
 
 @settings(max_examples=300, deadline=None)
 @given(psi=HEADINGS, theta=GLIDES,
-       step=st.floats(0.01, 1.2), glide=st.floats(0.05, 1.5),
+       step=st.floats(math.radians(1.0), 1.2), glide=st.floats(0.05, 1.5),
        down=st.floats(0.05, 2.0), up=st.floats(0.05, 2.0),
        dt=st.floats(0.1, 10.0),
        at=st.tuples(*[st.floats(-500.0, 500.0)] * 3))
@@ -190,10 +190,11 @@ def test_fan_matches_spherical_to_cartesian_bit_for_bit(psi, theta, step, glide,
 
 def fresh_fan(psi0, theta0, spec, dt):
     """(headings, glides, reach, dpsi, dtheta) built from scratch with the
-    builder's arithmetic and no memo."""
+    builder's arithmetic and no memo; the envelope and speeds as floats."""
     half = (GRID_N - 1) // 2
     psi_step = spec.max_heading_step / half
-    theta_step = spec.max_glide_angle / half
+    limit = float(spec.max_glide_angle)
+    theta_step = limit / half
     headings, dpsi, glides, dtheta = [], [], [], []
     reach = 0.0
     for i in range(-half, half + 1):
@@ -201,9 +202,8 @@ def fresh_fan(psi0, theta0, spec, dt):
         headings.append((psi_i, math.cos(psi_i), math.sin(psi_i)))
         dpsi.append(abs(angle_diff(psi_i, psi0)))
     for j in range(-half, half + 1):
-        theta_j = theta0 + j * theta_step
-        theta_j = min(spec.max_glide_angle, max(-spec.max_glide_angle, theta_j))
-        speed = spec.speed_for(theta_j)
+        theta_j = min(limit, max(-limit, theta0 + j * theta_step))
+        speed = float(spec.speed_for(theta_j))
         r = speed * dt
         reach = max(reach, r)
         ct, st_ = math.cos(theta_j), math.sin(theta_j)
@@ -217,9 +217,12 @@ def hexed(v):
     return tuple(map(hexed, v)) if isinstance(v, (tuple, list)) else float.hex(v)
 
 
+ROW_CACHES = (geometry._heading_rows, geometry._glide_rows)
+
+
 def clear_memos():
-    geometry._heading_memo.clear()
-    geometry._glide_memo.clear()
+    for rows in ROW_CACHES:
+        rows.cache_clear()
 
 
 def with_twins(pool):
@@ -232,21 +235,25 @@ MEMO_PSIS = st.one_of(st.floats(-4.0, 4.0), st.sampled_from(
     [math.pi, -math.pi, math.nextafter(math.pi, 0.0),
      math.nextafter(-math.pi, 0.0), *TINY]))
 MEMO_THETAS = st.one_of(st.floats(-1.6, 1.6), st.sampled_from([1.5, -1.5, *TINY]))
-STEPS = st.one_of(st.floats(0.0, 1.2), st.sampled_from(TINY))
-LIMITS = st.one_of(st.floats(0.0, 1.5), st.sampled_from(TINY))
-SPEEDS = st.one_of(st.floats(0.0, 2.0), st.sampled_from([0.0, -0.0]))
-DTS = st.one_of(st.floats(0.1, 10.0), st.sampled_from(TINY))
+# steps, envelopes, speeds and dts that GliderSpec and Scenario accept,
+# their smallest among them: only the attitude can be zero
+STEPS = st.one_of(st.floats(math.radians(1.0), math.pi),
+                  st.sampled_from([math.radians(1.0), math.pi]))
+LIMITS = st.one_of(st.floats(math.radians(1.0), math.radians(89.0)),
+                   st.sampled_from([math.radians(1.0), math.radians(89.0)]))
+SPEEDS = st.one_of(st.floats(1e-6, 2.0), st.sampled_from([5e-324, 1e-300]))
+DTS = st.one_of(st.floats(0.1, 10.0), st.sampled_from([5e-324, 1e-300]))
 
 
 def pool(values):
-    return st.lists(values, min_size=1, max_size=3).map(with_twins)
+    return st.lists(values, min_size=1, max_size=3)
 
 
 @st.composite
 def fan_calls(draw):
     """Up to 24 builds in a random order, drawn from small pools of
     headings, glide angles, specs and dts, so that keys repeat, one psi
-    meets several specs and dts, and a zero meets its other sign."""
+    meets several specs and dts, and a zero attitude meets its other sign."""
     steps, limits, speeds = draw(pool(STEPS)), draw(pool(LIMITS)), draw(pool(SPEEDS))
     specs = draw(st.lists(st.builds(
         GliderSpec, max_heading_step=st.sampled_from(steps),
@@ -254,26 +261,26 @@ def fan_calls(draw):
         speed_down=st.sampled_from(speeds), speed_up=st.sampled_from(speeds)),
         min_size=1, max_size=4))
     return draw(st.lists(st.tuples(
-        st.sampled_from(draw(pool(MEMO_PSIS))),
-        st.sampled_from(draw(pool(MEMO_THETAS))),
+        st.sampled_from(with_twins(draw(pool(MEMO_PSIS)))),
+        st.sampled_from(with_twins(draw(pool(MEMO_THETAS)))),
         st.sampled_from(specs), st.sampled_from(draw(pool(DTS)))),
         min_size=1, max_size=24))
 
 
-ZERO_STEP = GliderSpec(max_heading_step=0.0)
+NARROW = GliderSpec(max_heading_step=math.radians(1.0),
+                    max_glide_angle=math.radians(1.0),
+                    speed_down=5e-324, speed_up=5e-324)
 
 
 @settings(max_examples=300, deadline=None)
 @given(calls=fan_calls())
-# each pair shares a key but for the sign of one zero, or for one field
-@example(calls=[(0.0, 0.1, ZERO_STEP, 1.0), (-0.0, 0.1, ZERO_STEP, 1.0)])
-@example(calls=[(0.0, 0.1, ZERO_STEP, 1.0),
-                (0.0, 0.1, GliderSpec(max_heading_step=-0.0), 1.0)])
-@example(calls=[(0.3, 0.0, GliderSpec(max_glide_angle=0.0), 1.0),
-                (0.3, -0.0, GliderSpec(max_glide_angle=0.0), 1.0)])
-@example(calls=[(0.3, 0.1, GliderSpec(speed_up=0.0), 1.0),
-                (0.3, 0.1, GliderSpec(speed_up=-0.0), 1.0)])
-@example(calls=[(0.3, 0.1, SPEC, 0.0), (0.3, 0.1, SPEC, -0.0)])
+# each pair shares a key but for the sign of a zero attitude, or for one
+# field, or for the type of every field
+@example(calls=[(0.0, 0.1, SPEC, 1.0), (-0.0, 0.1, SPEC, 1.0)])
+@example(calls=[(0.3, 0.0, SPEC, 1.0), (0.3, -0.0, SPEC, 1.0)])
+@example(calls=[(-0.0, -0.0, NARROW, 5e-324), (0.0, 0.0, NARROW, 5e-324)])
+@example(calls=[(0.3, 0.1, GliderSpec(1, 1, 1, 1), 1),
+                (0.3, 0.1, GliderSpec(1.0, 1.0, 1.0, 1.0), 1.0)])
 @example(calls=[(0.3, 0.1, SPEC, 1.0), (0.3, 0.1, SPEC, 2.0),
                 (0.3, 0.1, GliderSpec(max_heading_step=0.5, max_glide_angle=0.3,
                                       speed_down=0.7, speed_up=0.2), 1.0)])
@@ -292,10 +299,11 @@ def test_row_memos_stay_within_their_bound():
     for k in range(10_000):
         state = GliderState(ZERO, Attitude(k * 1e-3, k * 1e-4 - 0.5), 0.3)
         build_sample_surface(state, SPEC, 1.0)
-        assert len(geometry._heading_memo) <= MEMO_SIZE
-        assert len(geometry._glide_memo) <= MEMO_SIZE
-    # emptied twice on the way: 10,000 - 2 * 4,096 entries are left
-    assert len(geometry._heading_memo) == len(geometry._glide_memo) == 1808
+        assert all(rows.cache_info().currsize <= MEMO_SIZE for rows in ROW_CACHES)
+    # 10,000 keys, each built once, of which the last 4,096 are kept
+    for rows in ROW_CACHES:
+        info = rows.cache_info()
+        assert (info.maxsize, info.currsize, info.misses) == (MEMO_SIZE, MEMO_SIZE, 10_000)
 
 
 # --- Vec3, Obstacle and Candidate: a frozen dataclass's semantics, not its guard

@@ -476,14 +476,22 @@ def test_emitted_files_are_deterministic(tmp_path):
         assert a[key].read_bytes() == b[key].read_bytes()
 
 
-# writes one mission's files from a fresh process, whose row memos are empty
+# writes one mission's files from a fresh process, whose row memos are
+# empty, and prints how many row sets that mission built
 COLD_RUN = """
 import sys
+from mppf import geometry
 from mppf.harness import emit_outputs, run_scenario
 from mppf.scenario import load_scenario
 sc = load_scenario(sys.argv[1])
 emit_outputs(run_scenario(sc, mode="advanced"), sc, sys.argv[2])
+print(geometry._heading_rows.cache_info().misses, geometry._glide_rows.cache_info().misses)
 """
+
+
+def row_misses():
+    return (geometry._heading_rows.cache_info().misses,
+            geometry._glide_rows.cache_info().misses)
 
 
 def test_a_mission_writes_the_same_bytes_with_cold_and_warm_row_memos(tmp_path):
@@ -491,15 +499,18 @@ def test_a_mission_writes_the_same_bytes_with_cold_and_warm_row_memos(tmp_path):
     # src ahead of the caller's PYTHONPATH, as the tier-1 command builds it
     paths = [str(Path(harness.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    subprocess.run([sys.executable, "-c", COLD_RUN, str(path), str(tmp_path / "cold")],
-                   check=True, env=env, timeout=120)
+    cold = subprocess.run([sys.executable, "-c", COLD_RUN, str(path), str(tmp_path / "cold")],
+                          check=True, env=env, timeout=120, capture_output=True, text=True)
+    cold_misses = tuple(map(int, cold.stdout.split()))
     sc = load_scenario(path)
     run_scenario(sc, mode="baseline")
     run_scenario(load_scenario(SCENARIOS / "vortex_multi.yaml"), mode="advanced")
-    warm_keys = set(geometry._heading_memo)
+    before = row_misses()
     res = run_scenario(sc, mode="advanced")
-    # the memo already held headings this mission decides from
-    assert {(row.psi, sc.glider.max_heading_step) for row in res.trajectory} & warm_keys
+    # the memos already held heading and glide rows this mission decides
+    # from: it built fewer of each than it did from empty memos
+    warm_misses = [b - a for a, b in zip(before, row_misses())]
+    assert all(w < c for w, c in zip(warm_misses, cold_misses)), (warm_misses, cold_misses)
     warm = emit_outputs(res, sc, tmp_path / "warm")
     for f in warm.values():
         assert f.read_bytes() == (tmp_path / "cold" / f.name).read_bytes(), f.name

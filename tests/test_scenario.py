@@ -129,6 +129,8 @@ BAD = [
       "obstacles[1].radius: expected a number",
       "obstacles[2].radius: expected a number",
       "obstacles[3].radius: expected a number"]),
+    # the default output directory runs/<name>-... must stay under runs/
+    ({"name": "../../escaped"}, ["name: must not contain a path separator"]),
 ]
 
 
@@ -137,38 +139,80 @@ def test_problem_list_is_exact(fields, want):
     assert problems(fields) == want
 
 
-def test_glider_escape_and_dt_refuse_what_breaks_a_run():
-    """A Scenario built in code gets a one-line ValueError where the reader
-    would list a problem, not a ZeroDivisionError mid-run (a zero
-    decay_tau or dt) or a run that ends with a NaN clearance (a NaN hull).
-    The reader's smallest values are accepted, and so are int fields and
-    the zero angles and speeds that only shrink the fan."""
-    sc = load_scenario(ROOT / "scenarios" / "concave_trap.yaml")
-    for key, kind in (("glider", GliderSpec), ("escape", EscapeConfig)):
-        smallest = {field: math.radians(lo) if k == scenario.DEG else lo
-                    for field, lo, _, k in scenario.GROUPS[key].values()}
-        built = kind(**smallest)
-        assert all(getattr(built, f) == v for f, v in smallest.items())
-    assert GliderSpec(0, 0, 1, 0, 1, 30).max_depth == 30
-    assert replace(sc, dt=5e-324).dt == 5e-324
-    positive = (0.0, -1.0, math.nan, math.inf)
-    non_negative = (-1.0, math.nan, math.inf)
-    rows = ((GliderSpec, ("max_heading_step", "max_glide_angle"),
-             (math.nan, math.inf, -math.inf)),
-            (GliderSpec, ("speed_down", "speed_up"), non_negative),
-            (GliderSpec, ("body_radius", "max_depth"), positive),
-            (EscapeConfig, ("vertical_speed", "progress_epsilon", "decay_tau"),
-             positive),
-            (EscapeConfig, ("window",), (0, -1, 2.5, math.nan)),
-            (EscapeConfig, ("surface_margin", "cz_margin", "overhead_pad",
-                            "overhead_clearance"), non_negative),
-            (lambda **kw: replace(sc, **kw), ("dt",), positive))
+def smallest(key):
+    """The reader's smallest value of every number field of group key."""
+    return {field: math.radians(lo) if k == scenario.DEG else lo
+            for field, lo, _, k in scenario.GROUPS[key].values()
+            if k != scenario.BOOL}
+
+
+def refuses(rows):
+    """Each row's kind raises a one-line ValueError naming the field for
+    every value, one field at a time."""
     for kind, names, values in rows:
         for name in names:
             for value in values:
                 with pytest.raises(ValueError, match=name) as err:
                     kind(**{name: value})
                 assert "\n" not in str(err.value)
+
+
+POSITIVE = (0.0, -1.0, math.nan, math.inf)
+NON_NEGATIVE = (-1.0, math.nan, math.inf)
+# outside [1, 89] degrees: zero, a step whose half underflows, a negative
+# envelope, one past 89 degrees and a vertical one
+BAD_ANGLES = (0.0, -0.0, 5e-324, -0.5, math.nextafter(math.radians(89.0), 2.0),
+                0.5 * math.pi, math.nan, math.inf)
+
+
+def test_glider_escape_and_dt_refuse_what_breaks_a_run():
+    """A Scenario built in code gets a one-line ValueError where the reader
+    would list a problem, not a ZeroDivisionError mid-run (a zero
+    decay_tau or dt), a run that ends with a NaN clearance (a NaN hull)
+    or one pinned at max_depth (a negative glide envelope). The reader's
+    smallest values are accepted, and so are int fields."""
+    sc = load_scenario(ROOT / "scenarios" / "concave_trap.yaml")
+    for key, kind in (("glider", GliderSpec), ("escape", EscapeConfig)):
+        built = kind(**smallest(key))
+        assert all(getattr(built, f) == v for f, v in smallest(key).items())
+    assert GliderSpec(1, 1, 1, 1, 1, 30).max_depth == 30
+    assert GliderSpec(max_heading_step=math.pi).max_heading_step == math.pi
+    assert replace(sc, dt=5e-324).dt == 5e-324
+    refuses(((GliderSpec, ("max_heading_step",),
+              (0.0, -0.0, 5e-324, -0.5, math.nextafter(math.pi, 4.0), math.nan,
+               math.inf, -math.inf)),
+             (GliderSpec, ("max_glide_angle",), BAD_ANGLES),
+             (GliderSpec, ("speed_down", "speed_up", "body_radius", "max_depth"),
+              POSITIVE + (-0.0,)),
+             (EscapeConfig, ("vertical_speed", "progress_epsilon", "decay_tau"),
+              POSITIVE),
+             (EscapeConfig, ("window",), (0, -1, 2.5, math.nan)),
+             (EscapeConfig, ("surface_margin", "cz_margin", "overhead_pad",
+                             "overhead_clearance"), NON_NEGATIVE),
+             (lambda **kw: replace(sc, **kw), ("dt",), POSITIVE)))
+
+
+def test_sawtooth_and_potentials_refuse_what_breaks_a_run():
+    """Built in code, a zero or NaN sawtooth envelope or max_depth raised
+    mid-plan (ZeroDivisionError, or NaN converted to an integer), a NaN
+    arrival_radius never arrived, and a NaN or infinite gain scored every
+    candidate NaN. Each now raises a one-line ValueError. The reader's
+    smallest values (the sawtooth envelope and max_depth come from the
+    glider's) and a gain of zero are accepted."""
+    low = {**smallest("sawtooth"), "max_depth": smallest("glider")["max_depth"],
+           "max_glide_angle": smallest("glider")["max_glide_angle"]}
+    built = SawtoothParams(**low)
+    assert all(getattr(built, f) == v for f, v in low.items())
+    built = PotentialParams(**smallest("potentials"))
+    assert all(getattr(built, f) == v for f, v in smallest("potentials").items())
+    assert PotentialParams(xi=0.0, eta=0.0, tau=0.0, kappa=0.0).xi == 0.0
+    assert PotentialParams(1, 1, 1, 1, 1).flow_align_max == 1
+    refuses(((SawtoothParams, ("max_depth", "water_depth", "arrival_radius",
+                               "replan_cross_track"), POSITIVE),
+             (SawtoothParams, ("depth_margin",), NON_NEGATIVE),
+             (SawtoothParams, ("max_glide_angle",), BAD_ANGLES),
+             (PotentialParams, ("xi", "eta", "tau", "kappa"), NON_NEGATIVE),
+             (PotentialParams, ("flow_align_max",), BAD_ANGLES)))
 
 
 def test_keepout_checked_even_when_the_field_cannot_be_built():
